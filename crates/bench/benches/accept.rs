@@ -265,14 +265,12 @@ fn churn_pass(
     (t0.elapsed(), verdicts, ctx.eval_cache.cache_stats())
 }
 
-/// One churn-scenario row (per benchmark): legacy vs cost-aware+spill
-/// timings and counters at a deliberately tiny cache cap.
+/// One churn-scenario row (per benchmark): spilling-policy timing and
+/// counters at a deliberately tiny cache cap.
 struct ChurnRow {
     name: String,
     cap: usize,
-    legacy: Duration,
     spill: Duration,
-    legacy_stats: CacheStats,
     spill_stats: CacheStats,
 }
 
@@ -303,14 +301,11 @@ impl Report {
     }
 
     fn churn_row(&mut self, row: ChurnRow) {
-        let speedup = row.legacy.as_secs_f64() / row.spill.as_secs_f64().max(1e-9);
         println!(
-            "{:44} legacy {:>11.2?}   spill {:>12.2?}   speedup {speedup:>6.2}x   \
-             reevals {} -> {} (demotions {})",
+            "{:44} spill {:>12.2?}   evictions {} reevals {} demotions {}",
             row.name,
-            row.legacy,
             row.spill,
-            row.legacy_stats.reevals,
+            row.spill_stats.evictions,
             row.spill_stats.reevals,
             row.spill_stats.demotions,
         );
@@ -327,7 +322,7 @@ impl Report {
     }
 
     fn write_json(&self, quick: bool) {
-        let mut out = String::from("{\n  \"schema\": \"sickle-bench/accept/v2\",\n");
+        let mut out = String::from("{\n  \"schema\": \"sickle-bench/accept/v3\",\n");
         out.push_str(&format!("  \"quick\": {quick},\n  \"rows\": [\n"));
         for (i, (name, b, s)) in self.rows.iter().enumerate() {
             out.push_str(&format!(
@@ -342,16 +337,11 @@ impl Report {
         out.push_str("  ],\n  \"churn\": [\n");
         for (i, r) in self.churn.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"cap\": {}, \"legacy_s\": {:.9}, \"spill_s\": {:.9}, \
-                 \"speedup\": {:.3}, \"legacy_evictions\": {}, \"legacy_reevals\": {}, \
+                "    {{\"name\": \"{}\", \"cap\": {}, \"spill_s\": {:.9}, \
                  \"spill_evictions\": {}, \"spill_demotions\": {}, \"spill_reevals\": {}}}{}\n",
                 r.name,
                 r.cap,
-                r.legacy.as_secs_f64(),
                 r.spill.as_secs_f64(),
-                r.legacy.as_secs_f64() / r.spill.as_secs_f64().max(1e-9),
-                r.legacy_stats.evictions,
-                r.legacy_stats.reevals,
                 r.spill_stats.evictions,
                 r.spill_stats.demotions,
                 r.spill_stats.reevals,
@@ -453,9 +443,8 @@ fn main() {
     // (the second round re-probes what round one cached: a demoted entry
     // pays set re-conversion, an evicted one pays full re-execution). The
     // same stream runs (1) on an effectively unbounded cache ("blind"
-    // reference verdicts), (2) under the legacy flat second-chance
-    // policy, and (3) under the cost-aware + star-channel-spilling
-    // policy. Any verdict divergence between a spilled run and the blind
+    // reference verdicts) and (2) under the spilling policy in retention
+    // mode. Any verdict divergence between the spilled run and the blind
     // reference is a correctness bug: the assert aborts the bench (and
     // fails CI's bench-smoke job).
     const CHURN_CAP: usize = 48;
@@ -491,36 +480,21 @@ fn main() {
             let (verdicts, stats) = last.expect("at least one iteration");
             (best, verdicts, stats)
         };
-        let legacy_policy = CachePolicy::legacy().with_cap(CHURN_CAP);
         // Retention mode (low water above cap/2): cold expensive
         // survivors exist and get demoted instead of dropped.
         let spill_policy = CachePolicy::default()
             .with_cap(CHURN_CAP)
             .with_low_water(CHURN_CAP * 3 / 4);
-        let (legacy, legacy_verdicts, legacy_stats) = run(legacy_policy);
         let (spill, spill_verdicts, spill_stats) = run(spill_policy);
 
         assert_eq!(
             spill_verdicts, blind_verdicts,
             "churn cross-check diverged (spilled vs blind) on task {id}"
         );
-        assert_eq!(
-            legacy_verdicts, blind_verdicts,
-            "churn cross-check diverged (legacy vs blind) on task {id}"
-        );
-        if spill_stats.reevals > legacy_stats.reevals {
-            println!(
-                "WARNING: cost-aware policy re-evaluated more than legacy on task {id} \
-                 ({} vs {})",
-                spill_stats.reevals, legacy_stats.reevals
-            );
-        }
         report.churn_row(ChurnRow {
             name: format!("churn/{:02}-{}", b.id, b.name),
             cap: CHURN_CAP,
-            legacy,
             spill,
-            legacy_stats,
             spill_stats,
         });
     }

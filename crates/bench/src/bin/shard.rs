@@ -50,7 +50,7 @@ use sickle_bench::corpus::{
     CorpusFilters,
 };
 use sickle_bench::runner::HarnessConfig;
-use sickle_bench::{write_bench_json, Json, RunRecord, SuiteResults, Technique};
+use sickle_bench::{stats_from_json, write_bench_json, Json, RunRecord, SuiteResults, Technique};
 use sickle_benchmarks::all_benchmarks;
 
 const USAGE: &str = "\
@@ -602,7 +602,7 @@ fn main() {
                     .get(&i)
                     .map(|o| &o.response)
                     .unwrap_or(&error_response);
-                outcome_from_response(bundle, response, 0.0)
+                outcome_from_response(bundle, response)
             })
             .collect();
         print!("{}", render_dump(&outcomes));
@@ -643,11 +643,7 @@ fn main() {
             continue;
         };
         let r = &outcome.response;
-        let stats = r.get("stats").cloned().unwrap_or(Json::Null);
-        let count = |j: &Json, k: &str| j.get(k).and_then(Json::as_f64).unwrap_or(0.0) as usize;
-        let secs = |k: &str| {
-            Duration::from_secs_f64(stats.get(k).and_then(Json::as_f64).unwrap_or(0.0).max(0.0))
-        };
+        let stats = stats_from_json(r.get("stats").unwrap_or(&Json::Null));
         let solutions: Vec<String> = r
             .get("solutions")
             .and_then(Json::as_array)
@@ -662,8 +658,8 @@ fn main() {
             "## {:2} {} visited={} pruned={} solutions={}",
             b.id,
             b.name,
-            count(&stats, "visited"),
-            count(&stats, "pruned"),
+            stats.visited,
+            stats.pruned,
             solutions.len()
         );
         for (i, q) in solutions.iter().enumerate() {
@@ -680,24 +676,7 @@ fn main() {
             category: b.category,
             technique: Technique::Provenance,
             solved: r.get("solved").and_then(Json::as_bool).unwrap_or(false),
-            elapsed: secs("wall_s"),
-            time_analyze: secs("time_analyze_s"),
-            time_eval: secs("time_eval_s"),
-            time_materialize: secs("time_materialize_s"),
-            time_prefilter: secs("time_prefilter_s"),
-            time_match: secs("time_match_s"),
-            time_expand: secs("time_expand_s"),
-            time_join: secs("time_join_s"),
-            join_rows: count(&stats, "join_rows"),
-            visited: count(&stats, "visited"),
-            pruned: count(&stats, "pruned"),
-            cache_evictions: count(&stats, "cache_evictions"),
-            cache_demotions: count(&stats, "cache_demotions"),
-            cache_reevals: count(&stats, "cache_reevals"),
-            cache_reeval_time: secs("cache_reeval_s"),
-            mem_bytes: count(&stats, "mem_bytes"),
-            reused_verdicts: count(&stats, "reused_verdicts"),
-            invalidated_verdicts: count(&stats, "invalidated_verdicts"),
+            stats,
             rank,
         });
     }

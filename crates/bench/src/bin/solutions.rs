@@ -112,24 +112,7 @@ fn main() {
             category: b.category,
             technique: Technique::Provenance,
             solved: rank.is_some(),
-            elapsed: res.stats.elapsed,
-            time_analyze: res.stats.time_analyze,
-            time_eval: res.stats.time_concrete,
-            time_materialize: res.stats.time_materialize,
-            time_prefilter: res.stats.time_prefilter,
-            time_match: res.stats.time_match,
-            time_expand: res.stats.time_expand,
-            time_join: res.stats.time_join,
-            join_rows: res.stats.join_rows,
-            visited: res.stats.visited,
-            pruned: res.stats.pruned,
-            cache_evictions: res.stats.cache_evictions,
-            cache_demotions: res.stats.cache_demotions,
-            cache_reevals: res.stats.cache_reevals,
-            cache_reeval_time: res.stats.cache_reeval_time,
-            mem_bytes: res.stats.mem_bytes,
-            reused_verdicts: res.stats.reused_verdicts,
-            invalidated_verdicts: res.stats.invalidated_verdicts,
+            stats: res.stats,
             rank,
         });
     }

@@ -32,16 +32,18 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use sickle_benchmarks::{
     contains_column_subtable, demo_is_consistent_with_gt, generate_demo, CandidateTask,
 };
-use sickle_core::{evaluate, Budget, JoinKey, Query, Session, SynthConfig, SynthRequest};
+use sickle_core::{
+    evaluate, Budget, JoinKey, Query, SearchStats, Session, SynthConfig, SynthRequest,
+};
 use sickle_provenance::Demo;
 use sickle_table::{Table, Value};
 
 use crate::json::Json;
+use crate::wire::{stat_fields, stats_from_json};
 
 /// Corpus manifest schema version.
 pub const CORPUS_SCHEMA: &str = "sickle-corpus/v1";
@@ -945,17 +947,14 @@ pub struct RunOutcome {
     pub status: &'static str,
     /// The solutions the run produced (rank order, rendered).
     pub solutions: Vec<String>,
-    /// Visited counter from the response stats.
-    pub visited: usize,
-    /// Pruned counter from the response stats.
-    pub pruned: usize,
-    /// Wall-clock seconds (reporting only; never part of the dump).
-    pub wall_s: f64,
+    /// The search counters of the response (timings are reporting only,
+    /// never part of the dump).
+    pub stats: SearchStats,
 }
 
 /// Folds a wire response into a [`RunOutcome`] (shared by the in-process
 /// runner and `sickle-shard --corpus`).
-pub fn outcome_from_response(bundle: &TaskBundle, response: &Json, wall_s: f64) -> RunOutcome {
+pub fn outcome_from_response(bundle: &TaskBundle, response: &Json) -> RunOutcome {
     let solutions: Vec<String> = response
         .get("solutions")
         .and_then(Json::as_array)
@@ -966,13 +965,7 @@ pub fn outcome_from_response(bundle: &TaskBundle, response: &Json, wall_s: f64) 
                 .collect()
         })
         .unwrap_or_default();
-    let stat = |k: &str| {
-        response
-            .get("stats")
-            .and_then(|s| s.get(k))
-            .and_then(Json::as_usize)
-            .unwrap_or(0)
-    };
+    let stats = stats_from_json(response.get("stats").unwrap_or(&Json::Null));
     let status = if response.get("status").and_then(Json::as_str) != Some("ok") {
         "error"
     } else if solutions == bundle.expected {
@@ -987,9 +980,7 @@ pub fn outcome_from_response(bundle: &TaskBundle, response: &Json, wall_s: f64) 
         format: bundle.format.label(),
         status,
         solutions,
-        visited: stat("visited"),
-        pruned: stat("pruned"),
-        wall_s,
+        stats,
     }
 }
 
@@ -1000,12 +991,11 @@ pub fn run_corpus(tasks: &[TaskBundle]) -> Vec<RunOutcome> {
     tasks
         .iter()
         .map(|bundle| {
-            let started = Instant::now();
             let response = match wire_line(bundle, &Json::str(&bundle.id)) {
                 Ok(line) => crate::wire::handle_line(&session, &line),
                 Err(e) => crate::wire::response_error(&Json::str(&bundle.id), "internal", &e),
             };
-            outcome_from_response(bundle, &response, started.elapsed().as_secs_f64())
+            outcome_from_response(bundle, &response)
         })
         .collect()
 }
@@ -1040,8 +1030,8 @@ pub fn render_dump(outcomes: &[RunOutcome]) -> String {
             o.seed,
             o.format,
             o.status,
-            o.visited,
-            o.pruned,
+            o.stats.visited,
+            o.stats.pruned,
             o.solutions.len()
         ));
         for (i, q) in o.solutions.iter().enumerate() {
@@ -1062,17 +1052,16 @@ pub fn results_json(dir: &str, outcomes: &[RunOutcome]) -> String {
         outcomes
             .iter()
             .map(|o| {
-                Json::Obj(vec![
+                let mut fields = vec![
                     ("id".into(), Json::str(&o.id)),
                     ("category".into(), Json::str(&o.category)),
                     ("seed".into(), Json::num(o.seed as f64)),
                     ("format".into(), Json::str(o.format)),
                     ("status".into(), Json::str(o.status)),
                     ("solutions".into(), Json::num(o.solutions.len() as f64)),
-                    ("visited".into(), Json::num(o.visited as f64)),
-                    ("pruned".into(), Json::num(o.pruned as f64)),
-                    ("wall_s".into(), Json::num(o.wall_s)),
-                ])
+                ];
+                fields.extend(stat_fields(&o.stats));
+                Json::Obj(fields)
             })
             .collect(),
     );
@@ -1145,9 +1134,7 @@ mod tests {
             format: "csv",
             status,
             solutions: sols.iter().map(|s| s.to_string()).collect(),
-            visited: 0,
-            pruned: 0,
-            wall_s: 0.0,
+            stats: SearchStats::default(),
         };
         let a = corpus_digest(&[mk("ok", &["group(T1, [0], sum(c2))"])]);
         let b = corpus_digest(&[mk("ok", &["group(T1, [0], max(c2))"])]);

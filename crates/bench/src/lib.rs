@@ -71,5 +71,6 @@ pub use server::{
 };
 pub use wire::{
     analyzer_by_name, bad_json_response, error_response, finish_response, handle_line,
-    handle_line_with, progress_json, response_error, response_ok, WireRequest,
+    handle_line_with, progress_json, response_error, response_ok, stats_from_json, stats_json,
+    WireRequest,
 };

@@ -6,8 +6,11 @@ use std::time::Duration;
 use sickle_baselines::{TypeAnalyzer, ValueAnalyzer};
 use sickle_benchmarks::{all_benchmarks, Benchmark, Category};
 use sickle_core::{
-    Analyzer, AnalyzerChoice, Budget, CachePolicy, Session, SickleError, SynthRequest,
+    Analyzer, AnalyzerChoice, Budget, CachePolicy, SearchStats, Session, SickleError, SynthRequest,
 };
+
+use crate::json::Json;
+use crate::wire::stat_fields;
 
 /// The compared techniques (paper names).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,50 +68,9 @@ pub struct RunRecord {
     pub technique: Technique,
     /// Whether the correct query was recovered within budget.
     pub solved: bool,
-    /// Wall-clock time until the correct query (or until budget).
-    pub elapsed: Duration,
-    /// Time spent in the analyzer (abstract evaluation + Def. 3 checks).
-    pub time_analyze: Duration,
-    /// Time spent evaluating concrete candidates and checking Def. 1 —
-    /// the sum of the three acceptance-stage components below.
-    pub time_eval: Duration,
-    /// Acceptance stage 1: concrete candidate materialization (values,
-    /// demo-dims fast reject, star channel).
-    pub time_materialize: Duration,
-    /// Acceptance stage 2: reference-containment prefilter over lazily
-    /// converted cell sets.
-    pub time_prefilter: Duration,
-    /// Acceptance stage 3: candidate-seeded Def. 1 expression matching.
-    pub time_match: Duration,
-    /// Time spent expanding holes (domain inference + tree building).
-    pub time_expand: Duration,
-    /// Time spent inside the engine's filtered-join kernels (hash build +
-    /// probe, or the non-equi cross-loop fallback).
-    pub time_join: Duration,
-    /// Output rows produced by those join kernels.
-    pub join_rows: usize,
-    /// Queries (partial + concrete) visited.
-    pub visited: usize,
-    /// Partial queries pruned.
-    pub pruned: usize,
-    /// Engine-cache entries dropped by eviction sweeps.
-    pub cache_evictions: usize,
-    /// Engine-cache entries demoted (star-channel spill).
-    pub cache_demotions: usize,
-    /// Engine-cache re-evaluations of previously evicted queries.
-    pub cache_reevals: usize,
-    /// Time spent on those re-evaluations.
-    pub cache_reeval_time: Duration,
-    /// Approximate peak bytes attributed to the run: pooled interned sets
-    /// and analysis memos plus live engine-cache footprint at finish.
-    pub mem_bytes: usize,
-    /// Def. 3 verdicts served from the session-wide analysis cache
-    /// instead of recomputed (hits over the whole run; higher on warm
-    /// sessions and warm edits).
-    pub reused_verdicts: usize,
-    /// Memo entries invalidated on behalf of this run by a warm edit
-    /// superseding its prior demo; zero on cold solves.
-    pub invalidated_verdicts: usize,
+    /// The run's search counters; `stats.elapsed` is the wall-clock time
+    /// until the correct query (or until budget).
+    pub stats: SearchStats,
     /// 1-based rank of the correct query among returned solutions, when
     /// solved (consistent-but-incorrect queries found earlier push it down).
     pub rank: Option<usize>,
@@ -127,22 +89,17 @@ pub struct HarnessConfig {
     pub only: Vec<usize>,
     /// Worker threads for skeleton expansion (1 = sequential search).
     pub workers: usize,
-    /// Engine-cache eviction policy for every run (A/B runs switch it
-    /// with `SICKLE_CACHE_POLICY=legacy`).
+    /// Engine-cache eviction policy for every run.
     pub cache: CachePolicy,
 }
 
 impl HarnessConfig {
     /// Reads `SICKLE_TIMEOUT_SECS`, `SICKLE_MAX_VISITED`, `SICKLE_SEED`,
-    /// `SICKLE_ONLY`, `SICKLE_WORKERS`, `SICKLE_CACHE_POLICY`
-    /// (`cost-aware` (default) | `legacy`), `SICKLE_CACHE_CAP` with the
+    /// `SICKLE_ONLY`, `SICKLE_WORKERS`, `SICKLE_CACHE_CAP` with the
     /// documented defaults.
     pub fn from_env() -> HarnessConfig {
         let get = |k: &str| std::env::var(k).ok();
-        let mut cache = match get("SICKLE_CACHE_POLICY").as_deref() {
-            Some("legacy") => CachePolicy::legacy(),
-            _ => CachePolicy::default(),
-        };
+        let mut cache = CachePolicy::default();
         if let Some(cap) = get("SICKLE_CACHE_CAP").and_then(|v| v.parse().ok()) {
             cache = cache.with_cap(cap);
         }
@@ -172,16 +129,11 @@ impl HarnessConfig {
     /// One-line render of the knobs, for run banners.
     pub fn banner(&self) -> String {
         format!(
-            "timeout={}s max_visited={} seed={} workers={} cache={}/cap={}{}",
+            "timeout={}s max_visited={} seed={} workers={} cache_cap={}{}",
             self.timeout.as_secs(),
             self.max_visited,
             self.seed,
             self.workers,
-            if self.cache.cost_aware {
-                "cost-aware"
-            } else {
-                "legacy"
-            },
             self.cache.cap,
             if self.only.is_empty() {
                 String::new()
@@ -266,24 +218,7 @@ pub fn run_one_in(
         category: b.category,
         technique,
         solved: rank.is_some(),
-        elapsed: result.stats.elapsed,
-        time_analyze: result.stats.time_analyze,
-        time_eval: result.stats.time_concrete,
-        time_materialize: result.stats.time_materialize,
-        time_prefilter: result.stats.time_prefilter,
-        time_match: result.stats.time_match,
-        time_expand: result.stats.time_expand,
-        time_join: result.stats.time_join,
-        join_rows: result.stats.join_rows,
-        visited: result.stats.visited,
-        pruned: result.stats.pruned,
-        cache_evictions: result.stats.cache_evictions,
-        cache_demotions: result.stats.cache_demotions,
-        cache_reevals: result.stats.cache_reevals,
-        cache_reeval_time: result.stats.cache_reeval_time,
-        mem_bytes: result.stats.mem_bytes,
-        reused_verdicts: result.stats.reused_verdicts,
-        invalidated_verdicts: result.stats.invalidated_verdicts,
+        stats: result.stats,
         rank,
     })
 }
@@ -351,8 +286,8 @@ pub fn run_suite(techniques: &[Technique], hc: &HarnessConfig) -> SuiteResults {
                 t.label(),
                 b.name,
                 if rec.solved { "solved " } else { "TIMEOUT" },
-                rec.elapsed.as_secs_f64(),
-                rec.visited
+                rec.stats.elapsed.as_secs_f64(),
+                rec.stats.visited
             );
             results.records.push(rec);
         }
@@ -365,65 +300,41 @@ pub fn run_suite(techniques: &[Technique], hc: &HarnessConfig) -> SuiteResults {
     results
 }
 
-/// Minimal JSON string escaping (benchmark names are plain ASCII, but the
-/// writer must never emit malformed output). One escape table for the
-/// whole crate: the wire codec and this artifact writer must not drift.
-use crate::json::escape as json_escape;
-
-/// Renders the suite results as the `BENCH_synthesis.json` document.
+/// Renders the suite results as the `BENCH_synthesis.json` document: one
+/// record line per run, carrying every counter of the wire `stats`
+/// object.
 pub fn suite_results_json(res: &SuiteResults, hc: &HarnessConfig) -> String {
     let mut out = String::from("{\n  \"schema\": \"sickle-bench/synthesis/v1\",\n");
     out.push_str(&format!(
         "  \"config\": {{\"timeout_secs\": {}, \"max_visited\": {}, \"seed\": {}, \"workers\": {}, \
-         \"cache_policy\": \"{}\", \"cache_cap\": {}}},\n",
+         \"cache_cap\": {}}},\n",
         hc.timeout.as_secs(),
         hc.max_visited,
         hc.seed,
         hc.workers,
-        if hc.cache.cost_aware {
-            "cost-aware"
-        } else {
-            "legacy"
-        },
         hc.cache.cap
     ));
     out.push_str("  \"records\": [\n");
     for (i, r) in res.records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"id\": {}, \"name\": \"{}\", \"category\": \"{}\", \"technique\": \"{}\", \
-             \"solved\": {}, \"rank\": {}, \"wall_s\": {:.6}, \"time_analyze_s\": {:.6}, \
-             \"time_eval_s\": {:.6}, \"time_materialize_s\": {:.6}, \"time_prefilter_s\": {:.6}, \
-             \"time_match_s\": {:.6}, \"time_expand_s\": {:.6}, \"time_join_s\": {:.6}, \
-             \"join_rows\": {}, \"visited\": {}, \"pruned\": {}, \
-             \"cache_evictions\": {}, \"cache_demotions\": {}, \"cache_reevals\": {}, \
-             \"cache_reeval_s\": {:.6}, \"reused_verdicts\": {}, \
-             \"invalidated_verdicts\": {}, \"mem_bytes\": {}}}{}\n",
-            r.id,
-            json_escape(&r.name),
-            r.category.label(),
-            r.technique.label(),
-            r.solved,
-            r.rank.map_or("null".to_string(), |n| n.to_string()),
-            r.elapsed.as_secs_f64(),
-            r.time_analyze.as_secs_f64(),
-            r.time_eval.as_secs_f64(),
-            r.time_materialize.as_secs_f64(),
-            r.time_prefilter.as_secs_f64(),
-            r.time_match.as_secs_f64(),
-            r.time_expand.as_secs_f64(),
-            r.time_join.as_secs_f64(),
-            r.join_rows,
-            r.visited,
-            r.pruned,
-            r.cache_evictions,
-            r.cache_demotions,
-            r.cache_reevals,
-            r.cache_reeval_time.as_secs_f64(),
-            r.reused_verdicts,
-            r.invalidated_verdicts,
-            r.mem_bytes,
-            if i + 1 == res.records.len() { "" } else { "," }
-        ));
+        let mut fields = vec![
+            ("id".into(), Json::num(r.id as f64)),
+            ("name".into(), Json::str(&r.name)),
+            ("category".into(), Json::str(r.category.label())),
+            ("technique".into(), Json::str(r.technique.label())),
+            ("solved".into(), Json::Bool(r.solved)),
+            (
+                "rank".into(),
+                r.rank.map_or(Json::Null, |n| Json::num(n as f64)),
+            ),
+        ];
+        fields.extend(stat_fields(&r.stats));
+        out.push_str("    ");
+        out.push_str(&Json::Obj(fields).render());
+        out.push_str(if i + 1 == res.records.len() {
+            "\n"
+        } else {
+            ",\n"
+        });
     }
     out.push_str("  ]\n}\n");
     out
@@ -474,7 +385,7 @@ pub fn render_fig12(res: &SuiteResults) -> String {
                 let n = res
                     .of_cat(t, hard)
                     .iter()
-                    .filter(|r| r.solved && r.elapsed.as_secs_f64() <= lim)
+                    .filter(|r| r.solved && r.stats.elapsed.as_secs_f64() <= lim)
                     .count();
                 out.push_str(&format!("{n:>12}"));
             }
@@ -503,7 +414,11 @@ pub fn render_fig13(res: &SuiteResults) -> String {
             "technique", "min", "q1", "median", "q3", "max", "mean"
         ));
         for t in Technique::ALL {
-            let counts: Vec<usize> = res.of_cat(t, hard).iter().map(|r| r.visited).collect();
+            let counts: Vec<usize> = res
+                .of_cat(t, hard)
+                .iter()
+                .map(|r| r.stats.visited)
+                .collect();
             let mean = if counts.is_empty() {
                 0.0
             } else {
@@ -536,12 +451,16 @@ pub fn render_obs1(res: &SuiteResults) -> String {
         let mean_t = if solved.is_empty() {
             f64::NAN
         } else {
-            solved.iter().map(|r| r.elapsed.as_secs_f64()).sum::<f64>() / solved.len() as f64
+            solved
+                .iter()
+                .map(|r| r.stats.elapsed.as_secs_f64())
+                .sum::<f64>()
+                / solved.len() as f64
         };
         let mean_v = if solved.is_empty() {
             0.0
         } else {
-            solved.iter().map(|r| r.visited as f64).sum::<f64>() / solved.len() as f64
+            solved.iter().map(|r| r.stats.visited as f64).sum::<f64>() / solved.len() as f64
         };
         out.push_str(&format!(
             "{:>10} {:>7} {:>11} {:>11} {:>13.2} {:>13.0}\n",
@@ -560,9 +479,9 @@ pub fn render_obs1(res: &SuiteResults) -> String {
         let mut visit_ratio = Vec::new();
         for rec in res.of(Technique::Provenance).filter(|r| r.solved) {
             if let Some(o) = res.of(other).find(|r| r.id == rec.id && r.solved) {
-                let s = o.elapsed.as_secs_f64() / rec.elapsed.as_secs_f64().max(1e-4);
+                let s = o.stats.elapsed.as_secs_f64() / rec.stats.elapsed.as_secs_f64().max(1e-4);
                 speedups.push(s);
-                visit_ratio.push(o.visited as f64 / rec.visited.max(1) as f64);
+                visit_ratio.push(o.stats.visited as f64 / rec.stats.visited.max(1) as f64);
             }
         }
         if !speedups.is_empty() {
@@ -585,11 +504,11 @@ pub fn render_obs1(res: &SuiteResults) -> String {
             .iter()
             .filter(|&&t| t != Technique::Provenance)
             .filter_map(|&t| res.of(t).find(|r| r.id == rec.id))
-            .map(|r| r.visited)
+            .map(|r| r.stats.visited)
             .max();
         if let Some(v) = best_other {
             if v > 0 {
-                reductions.push(1.0 - rec.visited as f64 / v as f64);
+                reductions.push(1.0 - rec.stats.visited as f64 / v as f64);
             }
         }
     }
@@ -660,24 +579,17 @@ mod tests {
                     category: sickle_benchmarks::Category::ForumEasy,
                     technique: Technique::Provenance,
                     solved: true,
-                    elapsed: Duration::from_millis(125),
-                    time_analyze: Duration::from_millis(50),
-                    time_eval: Duration::from_millis(25),
-                    time_materialize: Duration::from_millis(15),
-                    time_prefilter: Duration::from_millis(4),
-                    time_match: Duration::from_millis(6),
-                    time_expand: Duration::from_millis(5),
-                    time_join: Duration::from_millis(3),
-                    join_rows: 1234,
-                    visited: 42,
-                    pruned: 7,
-                    cache_evictions: 12,
-                    cache_demotions: 3,
-                    cache_reevals: 5,
-                    cache_reeval_time: Duration::from_millis(2),
-                    mem_bytes: 123_456,
-                    reused_verdicts: 17,
-                    invalidated_verdicts: 4,
+                    stats: SearchStats {
+                        elapsed: Duration::from_millis(125),
+                        time_analyze: Duration::from_millis(50),
+                        time_materialize: Duration::from_millis(15),
+                        join_rows: 1234,
+                        visited: 42,
+                        cache_reeval_time: Duration::from_millis(2),
+                        mem_bytes: 123_456,
+                        reused_verdicts: 17,
+                        ..SearchStats::default()
+                    },
                     rank: Some(1),
                 },
                 RunRecord {
@@ -686,53 +598,42 @@ mod tests {
                     category: sickle_benchmarks::Category::TpcDs,
                     technique: Technique::TypeAbs,
                     solved: false,
-                    elapsed: Duration::from_secs(1),
-                    time_analyze: Duration::ZERO,
-                    time_eval: Duration::ZERO,
-                    time_materialize: Duration::ZERO,
-                    time_prefilter: Duration::ZERO,
-                    time_match: Duration::ZERO,
-                    time_expand: Duration::ZERO,
-                    time_join: Duration::ZERO,
-                    join_rows: 0,
-                    visited: 10,
-                    pruned: 0,
-                    cache_evictions: 0,
-                    cache_demotions: 0,
-                    cache_reevals: 0,
-                    cache_reeval_time: Duration::ZERO,
-                    mem_bytes: 0,
-                    reused_verdicts: 0,
-                    invalidated_verdicts: 0,
+                    stats: SearchStats::default(),
                     rank: None,
                 },
             ],
         };
         let json = suite_results_json(&res, &hc);
-        assert!(json.contains("\"schema\": \"sickle-bench/synthesis/v1\""));
-        assert!(json.contains("\\\"quoted\\\""));
-        assert!(json.contains("\"time_analyze_s\": 0.050000"));
-        assert!(json.contains("\"time_materialize_s\": 0.015000"));
-        assert!(json.contains("\"time_prefilter_s\": 0.004000"));
-        assert!(json.contains("\"time_match_s\": 0.006000"));
-        assert!(json.contains("\"time_join_s\": 0.003000"));
-        assert!(json.contains("\"join_rows\": 1234"));
-        assert!(json.contains("\"cache_evictions\": 12"));
-        assert!(json.contains("\"cache_demotions\": 3"));
-        assert!(json.contains("\"cache_reevals\": 5"));
-        assert!(json.contains("\"cache_reeval_s\": 0.002000"));
-        assert!(json.contains("\"reused_verdicts\": 17"));
-        assert!(json.contains("\"invalidated_verdicts\": 4"));
-        assert!(json.contains("\"mem_bytes\": 123456"));
-        assert!(json.contains("\"cache_policy\": \"cost-aware\""));
-        assert!(json.contains("\"rank\": null"));
-        assert!(json.contains("\"technique\": \"type-abs\""));
-        // Balanced braces/brackets (cheap well-formedness probe: the
-        // writer emits no strings containing braces).
-        let opens = json.matches('{').count();
-        assert_eq!(opens, json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        // Two record lines, separated by exactly one trailing comma.
+        let doc = Json::parse(&json).expect("BENCH_synthesis.json parses");
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some("sickle-bench/synthesis/v1")
+        );
+        let config = doc.get("config").expect("config object");
+        assert_eq!(config.get("cache_cap").and_then(Json::as_usize), Some(4000));
+        assert!(config.get("cache_policy").is_none());
+        let records = doc.get("records").and_then(Json::as_array).unwrap();
+        assert_eq!(records.len(), 2);
+        let first = &records[0];
+        assert_eq!(
+            first.get("name").and_then(Json::as_str),
+            Some("a \"quoted\" name")
+        );
+        assert_eq!(first.get("rank").and_then(Json::as_usize), Some(1));
+        assert_eq!(records[1].get("rank"), Some(&Json::Null));
+        assert_eq!(
+            records[1].get("technique").and_then(Json::as_str),
+            Some("type-abs")
+        );
+        // Every record carries every counter of the wire table, and the
+        // counters read back exactly.
+        for (record, run) in records.iter().zip(&res.records) {
+            for (key, _) in run.stats.wire_fields() {
+                assert!(record.get(key).is_some(), "record lacks {key}: {json}");
+            }
+            assert_eq!(crate::wire::stats_from_json(record), run.stats);
+        }
+        // One record per line, separated by exactly one trailing comma.
         let record_lines: Vec<&str> = json
             .lines()
             .filter(|l| l.trim_start().starts_with("{\"id\":"))
@@ -778,10 +679,10 @@ mod tests {
         let ty = run_one(b, Technique::TypeAbs, &hc).expect("runs");
         assert!(prov.solved, "provenance failed: {prov:?}");
         assert!(
-            prov.visited <= ty.visited,
+            prov.stats.visited <= ty.stats.visited,
             "provenance visited {} > type {}",
-            prov.visited,
-            ty.visited
+            prov.stats.visited,
+            ty.stats.visited
         );
     }
 }

@@ -1083,9 +1083,7 @@ fn run_admitted(
             .search
             .cache
             .with_cap(cap)
-            .with_low_water(cap.saturating_mul(3) / 4)
-            .with_cost_aware(true)
-            .with_spill(true);
+            .with_low_water(cap.saturating_mul(3) / 4);
         log(format_args!(
             "soft watermark: engine cache degraded to retention/spill mode (cap {cap})"
         ));

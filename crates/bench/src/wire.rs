@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use sickle_benchmarks::{all_benchmarks, Benchmark};
 use sickle_core::{
-    AnalyzerChoice, Budget, CachePolicy, JoinKey, ProgressSnapshot, Session, SickleError,
-    SynthConfig, SynthRequest, SynthResult,
+    AnalyzerChoice, Budget, CachePolicy, JoinKey, ProgressSnapshot, SearchStats, Session,
+    SickleError, SynthConfig, SynthRequest, SynthResult,
 };
 use sickle_provenance::Demo;
 use sickle_table::{Table, Value};
@@ -34,8 +34,7 @@ pub struct WireRequest {
     /// The decoded synthesis request.
     pub request: SynthRequest,
     /// When true, the server streams `"solution"` / `"progress"` event
-    /// lines (with the acceptance-stage time split) before the final
-    /// response line.
+    /// lines (with the full counter set) before the final response line.
     pub progress: bool,
     /// For suite requests (`"benchmark": id`), the benchmark id: the
     /// success response then carries `solved`/`rank` against the task's
@@ -77,18 +76,10 @@ const MAX_WIRE_WORKERS: usize = 64;
 /// unbounded memory in a shared server.
 const MAX_WIRE_CACHE_CAP: usize = 1_000_000;
 
-/// Decodes the optional `"cache"` policy object: `"policy"`
-/// (`"cost-aware"` (default) | `"legacy"`), `"cap"`, `"spill"`,
-/// `"cost_aware"` overrides.
+/// Decodes the optional `"cache"` policy object: `"cap"` and
+/// `"low_water"` overrides of the default policy.
 fn decode_cache_policy(c: &Json) -> Result<CachePolicy, SickleError> {
-    let mut policy = match c.get("policy") {
-        None => CachePolicy::default(),
-        Some(p) => match p.as_str() {
-            Some("cost-aware") => CachePolicy::default(),
-            Some("legacy") => CachePolicy::legacy(),
-            _ => return Err(invalid("cache.policy must be \"cost-aware\" or \"legacy\"")),
-        },
-    };
+    let mut policy = CachePolicy::default();
     if let Some(cap) = c.get("cap") {
         let cap = cap
             .as_usize()
@@ -110,18 +101,6 @@ fn decode_cache_policy(c: &Json) -> Result<CachePolicy, SickleError> {
             .filter(|&n| n < policy.cap)
             .ok_or_else(|| invalid("cache.low_water must be an integer below cache.cap"))?;
         policy = policy.with_low_water(lw);
-    }
-    if let Some(s) = c.get("spill") {
-        policy = policy.with_spill(
-            s.as_bool()
-                .ok_or_else(|| invalid("cache.spill must be a boolean"))?,
-        );
-    }
-    if let Some(a) = c.get("cost_aware") {
-        policy = policy.with_cost_aware(
-            a.as_bool()
-                .ok_or_else(|| invalid("cache.cost_aware must be a boolean"))?,
-        );
     }
     Ok(policy)
 }
@@ -453,126 +432,40 @@ pub fn response_ok(id: &Json, result: &SynthResult) -> Json {
             ),
         ),
         ("timed_out".into(), Json::Bool(stats.timed_out)),
-        (
-            "stats".into(),
-            Json::Obj(vec![
-                ("visited".into(), Json::num(stats.visited as f64)),
-                ("pruned".into(), Json::num(stats.pruned as f64)),
-                (
-                    "concrete_checked".into(),
-                    Json::num(stats.concrete_checked as f64),
-                ),
-                ("expanded".into(), Json::num(stats.expanded as f64)),
-                ("wall_s".into(), Json::num(stats.elapsed.as_secs_f64())),
-                (
-                    "time_analyze_s".into(),
-                    Json::num(stats.time_analyze.as_secs_f64()),
-                ),
-                (
-                    "time_eval_s".into(),
-                    Json::num(stats.time_concrete.as_secs_f64()),
-                ),
-                (
-                    "time_materialize_s".into(),
-                    Json::num(stats.time_materialize.as_secs_f64()),
-                ),
-                (
-                    "time_prefilter_s".into(),
-                    Json::num(stats.time_prefilter.as_secs_f64()),
-                ),
-                (
-                    "time_match_s".into(),
-                    Json::num(stats.time_match.as_secs_f64()),
-                ),
-                (
-                    "time_expand_s".into(),
-                    Json::num(stats.time_expand.as_secs_f64()),
-                ),
-                (
-                    "time_join_s".into(),
-                    Json::num(stats.time_join.as_secs_f64()),
-                ),
-                ("join_rows".into(), Json::num(stats.join_rows as f64)),
-                (
-                    "cache_evictions".into(),
-                    Json::num(stats.cache_evictions as f64),
-                ),
-                (
-                    "cache_demotions".into(),
-                    Json::num(stats.cache_demotions as f64),
-                ),
-                (
-                    "cache_reevals".into(),
-                    Json::num(stats.cache_reevals as f64),
-                ),
-                (
-                    "cache_reeval_s".into(),
-                    Json::num(stats.cache_reeval_time.as_secs_f64()),
-                ),
-                (
-                    "reused_verdicts".into(),
-                    Json::num(stats.reused_verdicts as f64),
-                ),
-                (
-                    "invalidated_verdicts".into(),
-                    Json::num(stats.invalidated_verdicts as f64),
-                ),
-                ("mem_bytes".into(), Json::num(stats.mem_bytes as f64)),
-            ]),
-        ),
+        ("stats".into(), stats_json(stats)),
     ])
 }
 
+/// Every counter of [`SearchStats::wire_fields`] as a JSON object field,
+/// in wire order.
+pub(crate) fn stat_fields(stats: &SearchStats) -> impl Iterator<Item = (String, Json)> + '_ {
+    stats.wire_fields().map(|(k, v)| (k.into(), Json::num(v)))
+}
+
+/// Encodes [`SearchStats`] as the wire `stats` object.
+pub fn stats_json(stats: &SearchStats) -> Json {
+    Json::Obj(stat_fields(stats).collect())
+}
+
+/// Decodes a wire `stats` object back into [`SearchStats`] (absent or
+/// non-numeric counters read 0) — how a remote client such as
+/// `sickle-shard` rebuilds a run's counters.
+pub fn stats_from_json(stats: &Json) -> SearchStats {
+    SearchStats::from_wire_fields(|k| stats.get(k).and_then(Json::as_f64))
+}
+
 /// Encodes a [`ProgressSnapshot`] as the `{"event":"progress",…}` object
-/// streamed for [`sickle_core::SolutionEvent::Progress`] — live counters
-/// plus the acceptance-stage time split (`time_materialize_s` /
-/// `time_prefilter_s` / `time_match_s`), so an eval-path regression is
-/// visible *during* a long search, not only in the final stats.
+/// streamed for [`sickle_core::SolutionEvent::Progress`]: the solution
+/// count plus every counter of the wire `stats` object, so an eval-path
+/// regression is visible *during* a long search, not only in the final
+/// stats.
 pub fn progress_json(p: &ProgressSnapshot) -> Json {
-    Json::Obj(vec![
+    let mut fields = vec![
         ("event".into(), Json::str("progress")),
-        ("visited".into(), Json::num(p.visited as f64)),
-        ("pruned".into(), Json::num(p.pruned as f64)),
-        (
-            "concrete_checked".into(),
-            Json::num(p.concrete_checked as f64),
-        ),
         ("solutions".into(), Json::num(p.solutions as f64)),
-        ("wall_s".into(), Json::num(p.elapsed.as_secs_f64())),
-        (
-            "time_materialize_s".into(),
-            Json::num(p.time_materialize.as_secs_f64()),
-        ),
-        (
-            "time_prefilter_s".into(),
-            Json::num(p.time_prefilter.as_secs_f64()),
-        ),
-        ("time_match_s".into(), Json::num(p.time_match.as_secs_f64())),
-        ("time_join_s".into(), Json::num(p.time_join.as_secs_f64())),
-        ("join_rows".into(), Json::num(p.join_rows as f64)),
-        (
-            "cache_evictions".into(),
-            Json::num(p.cache_evictions as f64),
-        ),
-        (
-            "cache_demotions".into(),
-            Json::num(p.cache_demotions as f64),
-        ),
-        ("cache_reevals".into(), Json::num(p.cache_reevals as f64)),
-        (
-            "cache_reeval_s".into(),
-            Json::num(p.cache_reeval_time.as_secs_f64()),
-        ),
-        (
-            "reused_verdicts".into(),
-            Json::num(p.reused_verdicts as f64),
-        ),
-        (
-            "invalidated_verdicts".into(),
-            Json::num(p.invalidated_verdicts as f64),
-        ),
-        ("mem_bytes".into(), Json::num(p.mem_bytes as f64)),
-    ])
+    ];
+    fields.extend(stat_fields(&p.stats));
+    Json::Obj(fields)
 }
 
 /// Encodes an error response line.
@@ -837,19 +730,11 @@ mod tests {
             ),
             // Cache-policy schema violations are structured errors too.
             (
-                r#"{"benchmark": 1, "cache": {"policy": "lru"}}"#,
-                "invalid_request",
-            ),
-            (
                 r#"{"benchmark": 1, "cache": {"cap": 0}}"#,
                 "invalid_request",
             ),
             (
                 r#"{"benchmark": 1, "cache": {"cap": 100000000000}}"#,
-                "invalid_request",
-            ),
-            (
-                r#"{"benchmark": 1, "cache": {"spill": "yes"}}"#,
                 "invalid_request",
             ),
             // low_water at/above the cap would defeat the sweep
@@ -883,31 +768,42 @@ mod tests {
         let session = Session::new();
         let response = handle_line(&session, &inline_request_line());
         let stats = response.get("stats").expect("stats object");
-        for field in [
-            "time_eval_s",
-            "time_materialize_s",
-            "time_prefilter_s",
-            "time_match_s",
-            "time_join_s",
-            "join_rows",
-            "cache_evictions",
-            "cache_demotions",
-            "cache_reevals",
-            "reused_verdicts",
-            "invalidated_verdicts",
-        ] {
-            assert!(
-                stats.get(field).and_then(Json::as_f64).is_some(),
-                "missing {field}: {}",
-                response.render()
-            );
-        }
+        // The `stats` object is exactly the wire table, in table order.
+        let Json::Obj(fields) = stats else {
+            panic!("stats is not an object: {}", response.render())
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        let table: Vec<&str> = SearchStats::default()
+            .wire_fields()
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(keys, table);
         // The split sums to (at most) the total, up to timer granularity.
         let f = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap();
         assert!(
             f("time_materialize_s") + f("time_prefilter_s") + f("time_match_s")
                 <= f("time_eval_s") + 1e-6
         );
+    }
+
+    #[test]
+    fn wire_stats_decode_back_to_the_solve_counters() {
+        // Encode a real solve's counters as a response line, parse it the
+        // way a remote client receives it, and decode the `stats` object
+        // as `sickle-shard` does: every counter comes back.
+        let session = Session::new();
+        let wire = WireRequest::from_json(&Json::parse(&inline_request_line()).unwrap()).unwrap();
+        let result = session.solve(&wire.request).unwrap();
+        assert!(result.stats.visited > 0 && result.stats.concrete_checked > 0);
+        let line = response_ok(&wire.id, &result).render();
+        let parsed = Json::parse(&line).unwrap();
+        let decoded = stats_from_json(parsed.get("stats").unwrap());
+        let want: Vec<(&str, f64)> = result.stats.wire_fields().collect();
+        let got: Vec<(&str, f64)> = decoded.wire_fields().collect();
+        assert_eq!(got, want, "{line}");
+        assert_eq!(decoded.visited, result.stats.visited);
+        assert_eq!(decoded.pruned, result.stats.pruned);
+        assert_eq!(decoded.mem_bytes, result.stats.mem_bytes);
     }
 
     #[test]
@@ -930,13 +826,8 @@ mod tests {
             assert_eq!(e.get("id").and_then(Json::as_str), Some("r1"));
             assert!(Json::parse(&e.render()).is_ok());
             if e.get("event").and_then(Json::as_str) == Some("progress") {
-                for field in [
-                    "time_materialize_s",
-                    "time_prefilter_s",
-                    "time_match_s",
-                    "time_join_s",
-                    "join_rows",
-                ] {
+                assert!(e.get("solutions").is_some(), "{}", e.render());
+                for (field, _) in SearchStats::default().wire_fields() {
                     assert!(e.get(field).is_some(), "{}", e.render());
                 }
             }
@@ -951,20 +842,27 @@ mod tests {
     #[test]
     fn cache_policy_decodes_with_overrides() {
         let wire = WireRequest::from_json(
-            &Json::parse(
-                r#"{"benchmark": 1, "cache": {"policy": "legacy", "cap": 64, "spill": true}}"#,
-            )
-            .unwrap(),
+            &Json::parse(r#"{"benchmark": 1, "cache": {"cap": 64, "low_water": 40}}"#).unwrap(),
         )
         .unwrap();
         let policy = wire.request.search.cache;
-        assert!(!policy.cost_aware, "legacy base");
-        // The override decodes (the legacy sweep itself ignores spill —
-        // it reproduces v0.3 exactly — but the knob must round-trip so
-        // "legacy ordering + spill" stays expressible via cost_aware).
-        assert!(policy.spill, "explicit override decodes");
         assert_eq!(policy.cap, 64);
-        assert!(policy.low_water <= 32, "low water scales with the cap");
+        assert_eq!(policy.low_water, 40);
+        let wire = WireRequest::from_json(
+            &Json::parse(r#"{"benchmark": 1, "cache": {"cap": 64}}"#).unwrap(),
+        )
+        .unwrap();
+        assert!(
+            wire.request.search.cache.low_water <= 32,
+            "low water scales with the cap"
+        );
+        // Unknown cache keys are ignored, as everywhere in the decoder.
+        let wire = WireRequest::from_json(
+            &Json::parse(r#"{"benchmark": 1, "cache": {"policy": "legacy", "spill": "yes"}}"#)
+                .unwrap(),
+        )
+        .unwrap();
+        assert_eq!(wire.request.search.cache, CachePolicy::default());
         // Default when absent.
         let wire = WireRequest::from_json(&Json::parse(r#"{"benchmark": 1}"#).unwrap()).unwrap();
         assert_eq!(wire.request.search.cache, CachePolicy::default());

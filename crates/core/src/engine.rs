@@ -1046,8 +1046,7 @@ pub struct EvalCache {
     /// this cache, so per-candidate allocation stops scaling with row
     /// count.
     scratch: RefCell<ExecScratch>,
-    /// Eviction policy of the concrete store (cap, hysteresis target,
-    /// cost-aware ordering, star-channel spilling).
+    /// Eviction policy of the concrete store (cap, hysteresis target).
     policy: CachePolicy,
     /// Eviction / demotion / re-evaluation counters (see [`CacheStats`]).
     stats: Cell<CacheStats>,
@@ -1173,18 +1172,17 @@ const ROWS_MEMO_CAP: usize = 65_536;
 /// cheap-to-recompute entries go first and expensive join children
 /// survive. Raising `low_water` above `cap / 2` enters *retention mode*:
 /// more entries survive each sweep, and — since every entry is inserted
-/// hot — cold survivors (the sweep's spill candidates) start to exist;
-/// with [`CachePolicy::spill`] they are *demoted* rather than kept fully
+/// hot — cold survivors (the sweep's spill candidates) start to exist,
+/// and they are *demoted* rather than kept fully
 /// materialized: their derived reference-set channels (and the
 /// cross-candidate star-column conversions) are freed while the value
 /// and star columns stay, so a later re-probe pays only set
 /// re-conversion, never a full join re-execution. Retention trades peak
 /// RSS for fewer re-evaluations — an explicit opt-in for churn-bound
-/// workloads. [`CachePolicy::legacy`] restores the flat second-chance
-/// sweep of v0.3 for A/B comparison.
+/// workloads.
 ///
-/// Marked `#[non_exhaustive]`: construct via [`CachePolicy::default`] /
-/// [`CachePolicy::legacy`] plus the `with_*` builders.
+/// Marked `#[non_exhaustive]`: construct via [`CachePolicy::default`]
+/// plus the `with_*` builders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct CachePolicy {
@@ -1192,53 +1190,27 @@ pub struct CachePolicy {
     pub cap: usize,
     /// Hysteresis target: a sweep evicts down to this many entries
     /// (clamped at sweep time so every sweep frees at least ~`cap / 8`
-    /// — the amortization guarantee cannot be configured away; the
-    /// legacy policy ignores it and keeps its `cap / 2` hot-survivor
-    /// quota instead). Values above `cap / 2` enable retention mode
-    /// (see the type docs).
+    /// — the amortization guarantee cannot be configured away). Values
+    /// above `cap / 2` enable retention mode (see the type docs).
     pub low_water: usize,
-    /// Rank victims by (coldness, recompute cost) instead of coldness
-    /// alone, so cheap-to-recompute entries go first and expensive join
-    /// children survive.
-    pub cost_aware: bool,
-    /// Demote cold expensive survivors by freeing their derived ref-set
-    /// channels instead of keeping them fully materialized. Consulted
-    /// only by the cost-aware sweep: the legacy sweep reproduces v0.3
-    /// exactly and ignores this knob.
-    pub spill: bool,
 }
 
 impl Default for CachePolicy {
     fn default() -> CachePolicy {
         CachePolicy {
             cap: EXEC_CACHE_CAP,
-            // cap/2 keeps the retained set the same size as the legacy
-            // policy's: raising it above cap/2 enters *retention mode*
-            // (more entries survive each sweep, spilling engages on the
-            // cold expensive ones) — measured on the join-heavy suite
+            // Raising the low-water mark above cap/2 enters *retention
+            // mode* (more entries survive each sweep, spilling engages on
+            // the cold expensive ones) — measured on the join-heavy suite
             // tasks, retention at 3/4·cap costs ~60% extra peak RSS, so
             // it is an explicit opt-in for churn-bound workloads, not
             // the default.
             low_water: EXEC_CACHE_CAP / 2,
-            cost_aware: true,
-            spill: true,
         }
     }
 }
 
 impl CachePolicy {
-    /// The v0.3 policy: flat second-chance sweep with a `cap / 2`
-    /// hot-survivor quota, no cost ordering, no spilling. Kept for
-    /// interleaved A/B runs and as the churn baseline of the `accept`
-    /// micro-bench.
-    pub fn legacy() -> CachePolicy {
-        CachePolicy {
-            cost_aware: false,
-            spill: false,
-            ..CachePolicy::default()
-        }
-    }
-
     /// Sets the entry cap (clamped to ≥ 1) and rescales the low-water
     /// mark to half of it (use [`CachePolicy::with_low_water`] after
     /// this to opt into retention mode).
@@ -1253,20 +1225,6 @@ impl CachePolicy {
     #[must_use]
     pub fn with_low_water(mut self, low_water: usize) -> CachePolicy {
         self.low_water = low_water;
-        self
-    }
-
-    /// Enables or disables cost-aware victim ordering.
-    #[must_use]
-    pub fn with_cost_aware(mut self, cost_aware: bool) -> CachePolicy {
-        self.cost_aware = cost_aware;
-        self
-    }
-
-    /// Enables or disables star-channel spilling.
-    #[must_use]
-    pub fn with_spill(mut self, spill: bool) -> CachePolicy {
-        self.spill = spill;
         self
     }
 }
@@ -1303,9 +1261,8 @@ pub struct CacheStats {
     pub join_rows: u64,
     /// Nanoseconds spent in fused join steps.
     pub join_ns: u64,
-    /// Approximate bytes charged for inserted entries, cumulative. The
-    /// counter is monotone (like every other field) so the parallel
-    /// search can publish unsigned deltas; live residency is
+    /// Approximate bytes charged for inserted entries, cumulative and
+    /// monotone like every other field; live residency is
     /// `mem_charged - mem_released`.
     pub mem_charged: u64,
     /// Approximate bytes released by evictions and demotions, cumulative.
@@ -1470,29 +1427,11 @@ impl EvalCache {
     /// hot ones — their second chance is the cost ordering itself) until
     /// the map is down to the low-water mark. Cold survivors — by
     /// construction the most expensive entries, typically join children —
-    /// are *demoted* instead of dropped when [`CachePolicy::spill`] is
-    /// set. Hot flags are consumed, exactly as in the flat second-chance
-    /// sweep. With [`CachePolicy::cost_aware`] off, runs the v0.3 flat
-    /// sweep (hot survivors up to a `cap / 2` quota) instead.
+    /// are *demoted* instead of dropped. Hot flags are consumed, exactly
+    /// as in the flat second-chance sweep of the abstract store.
     fn sweep_exec(&self, map: &mut FxMap<Query, ExecSlot>) {
         let mut stats = self.stats.get();
         stats.sweeps += 1;
-        if !self.policy.cost_aware {
-            let mut quota = self.policy.cap / 2;
-            map.retain(|q, slot| {
-                let keep = slot.hot.replace(false) && quota > 0;
-                if keep {
-                    quota -= 1;
-                } else {
-                    stats.evictions += 1;
-                    stats.mem_released = stats.mem_released.saturating_add(slot.bytes.get());
-                    self.note_evicted(q);
-                }
-                keep
-            });
-            self.stats.set(stats);
-            return;
-        }
         // Rank victims — cold before hot, cheap before expensive —
         // without cloning any keys: select the eviction threshold on the
         // (coldness, cost) ranks alone, then evict in one retain pass
@@ -1543,10 +1482,7 @@ impl EvalCache {
         let mut purge: Vec<usize> = Vec::new();
         for slot in map.values_mut() {
             let probes = slot.probes.get();
-            if self.policy.spill
-                && (!slot.hot.get() || probes == 0)
-                && self.demote_slot(slot, &mut purge)
-            {
+            if (!slot.hot.get() || probes == 0) && self.demote_slot(slot, &mut purge) {
                 stats.demotions += 1;
                 // The freed derived channels are roughly half the slot's
                 // footprint; decrement the slot so a later eviction (or
@@ -2464,9 +2400,9 @@ mod tests {
 
     #[test]
     fn tiny_caps_sweep_without_stalling() {
-        // Caps where the legacy `cap / 2` survivor quota rounds to ≤ 1:
-        // every policy must keep serving correct results, keep the map at
-        // or below the cap, and never panic.
+        // Caps where a `cap / 2` low-water mark rounds to ≤ 1: the cache
+        // must keep serving correct results, keep the map at or below the
+        // cap, and never panic.
         let inputs = [input()];
         let queries: Vec<Query> = (0..4)
             .flat_map(|c| {
@@ -2481,8 +2417,6 @@ mod tests {
             CachePolicy::default().with_cap(1),
             CachePolicy::default().with_cap(2),
             CachePolicy::default().with_cap(3),
-            CachePolicy::legacy().with_cap(1),
-            CachePolicy::legacy().with_cap(3),
         ] {
             let cache = EvalCache::with_policy(policy);
             for round in 0..3 {

@@ -35,10 +35,9 @@
 //!   Algorithm 1 sequentially or with skeleton expansion fanned out over
 //!   worker threads, blocking or streaming, with validated requests,
 //!   [`Budget`]s, [`CancelToken`]s and the unified [`SickleError`];
-//! * `synthesize` / `synthesize_parallel` (`synth`) — the deprecated
-//!   free-function face of the same internals, parameterized by an
-//!   [`Analyzer`] ([`ProvenanceAnalyzer`] is the paper's; baselines live
-//!   in `sickle-baselines`).
+//! * [`Analyzer`] (`synth`) — the pruning interface the search is
+//!   parameterized by ([`ProvenanceAnalyzer`] is the paper's; baselines
+//!   live in `sickle-baselines`), and [`SearchStats`], the run's counters.
 //!
 //! # Examples
 //!
@@ -101,5 +100,3 @@ pub use synth::{
     construct_skeletons, expand, Analyzer, JoinKey, NoPruneAnalyzer, OpKind, ProvenanceAnalyzer,
     SearchStats, SharedStats, SynthConfig, SynthResult, SynthTask, TaskContext, BULK_COL_ROWS,
 };
-#[allow(deprecated)]
-pub use synth::{synthesize, synthesize_parallel, synthesize_seeded, synthesize_until};

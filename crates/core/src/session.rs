@@ -91,8 +91,8 @@ use crate::ast::{PQuery, Query};
 use crate::error::SickleError;
 use crate::session_pool::demo_fingerprint;
 use crate::synth::{
-    run_parallel, Analyzer, JoinKey, NoPruneAnalyzer, ProvenanceAnalyzer, SharedStats, SynthConfig,
-    SynthResult, SynthTask,
+    run_parallel, Analyzer, JoinKey, NoPruneAnalyzer, ProvenanceAnalyzer, SearchStats, SharedStats,
+    SynthConfig, SynthResult, SynthTask, RUN_SLOT,
 };
 
 // ---------------------------------------------------------------------------
@@ -424,10 +424,8 @@ impl SynthRequest {
     }
 
     /// Sets the engine-cache eviction policy ([`crate::CachePolicy`]):
-    /// the entry cap, the hysteresis low-water mark, cost-aware victim
-    /// ordering and star-channel spilling. The default is the cost-aware
-    /// spilling policy; [`crate::CachePolicy::legacy`] restores the flat
-    /// second-chance sweep for A/B comparison.
+    /// the entry cap and the hysteresis low-water mark of the cost-aware,
+    /// spilling sweep.
     #[must_use]
     pub fn with_cache_policy(mut self, policy: crate::CachePolicy) -> SynthRequest {
         self.search.cache = policy;
@@ -510,85 +508,27 @@ impl SynthRequest {
 // ---------------------------------------------------------------------------
 
 /// Live counters of a running (or finished) search.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ProgressSnapshot {
-    /// Queries (partial + concrete) taken off any worker's work list.
-    pub visited: usize,
-    /// Partial queries pruned by the analyzer.
-    pub pruned: usize,
-    /// Concrete queries checked against Def. 1.
-    pub concrete_checked: usize,
-    /// Solutions found so far.
+    /// Solutions found so far, across workers.
     pub solutions: usize,
-    /// Wall-clock since the request was submitted.
-    pub elapsed: Duration,
-    /// Acceptance stage 1 so far: concrete candidate materialization
-    /// (values + demo-dims fast reject + star channel), across workers.
-    pub time_materialize: Duration,
-    /// Acceptance stage 2 so far: the reference-containment prefilter over
-    /// lazily-converted cell sets, across workers.
-    pub time_prefilter: Duration,
-    /// Acceptance stage 3 so far: the candidate-seeded Def. 1 expression
-    /// match, across workers.
-    pub time_match: Duration,
-    /// Time spent inside the engine's filtered-join kernels so far (hash
-    /// build + probe, or the non-equi cross-loop fallback), across
-    /// workers.
-    pub time_join: Duration,
-    /// Output rows produced by those join kernels so far, across workers.
-    pub join_rows: usize,
-    /// Engine-cache entries dropped by eviction sweeps so far, across
-    /// workers.
-    pub cache_evictions: usize,
-    /// Engine-cache entries demoted (star-channel spill) so far, across
-    /// workers.
-    pub cache_demotions: usize,
-    /// Engine-cache re-evaluations of previously evicted queries so far,
-    /// across workers.
-    pub cache_reevals: usize,
-    /// Time spent on those re-evaluations so far, across workers.
-    pub cache_reeval_time: Duration,
-    /// Approximate resident bytes of the request so far: the shared pool
-    /// and analysis-cache footprint (high-water gauge) plus the workers'
-    /// live engine-cache bytes (charged − released).
-    pub mem_bytes: usize,
-    /// Def. 3 verdicts served from the session-wide analysis cache.
-    /// End-of-run counter: 0 while the search runs, set when it finishes.
-    pub reused_verdicts: usize,
-    /// Memo entries invalidated by this request's warm-edit purge (set
-    /// before the search enters; 0 on cold solves).
-    pub invalidated_verdicts: usize,
+    /// The search counters so far, folded across workers. Each worker
+    /// publishes its counters every few hundred visits, on each solution
+    /// and when it finishes, so after the run they equal the result's.
+    /// `elapsed` is the wall-clock since the request was submitted;
+    /// `reused_verdicts` is an end-of-run counter (0 while the search
+    /// runs).
+    pub stats: SearchStats,
 }
 
 impl ProgressSnapshot {
     fn read(shared: &SharedStats, started: Instant) -> ProgressSnapshot {
-        let ns = |a: &std::sync::atomic::AtomicU64| Duration::from_nanos(a.load(Ordering::Relaxed));
+        let mut stats = shared.total();
+        stats.elapsed = started.elapsed();
         ProgressSnapshot {
-            visited: shared.visited.load(Ordering::Relaxed),
-            pruned: shared.pruned.load(Ordering::Relaxed),
-            concrete_checked: shared.concrete_checked.load(Ordering::Relaxed),
             solutions: shared.solutions.load(Ordering::Relaxed),
-            elapsed: started.elapsed(),
-            time_materialize: ns(&shared.time_materialize_ns),
-            time_prefilter: ns(&shared.time_prefilter_ns),
-            time_match: ns(&shared.time_match_ns),
-            time_join: ns(&shared.time_join_ns),
-            join_rows: shared.join_rows.load(Ordering::Relaxed),
-            cache_evictions: shared.cache_evictions.load(Ordering::Relaxed),
-            cache_demotions: shared.cache_demotions.load(Ordering::Relaxed),
-            cache_reevals: shared.cache_reevals.load(Ordering::Relaxed),
-            cache_reeval_time: ns(&shared.cache_reeval_ns),
-            mem_bytes: {
-                let live = shared
-                    .mem_charged
-                    .load(Ordering::Relaxed)
-                    .saturating_sub(shared.mem_released.load(Ordering::Relaxed));
-                let pooled = shared.mem_pool_bytes.load(Ordering::Relaxed);
-                usize::try_from(pooled.saturating_add(live)).unwrap_or(usize::MAX)
-            },
-            reused_verdicts: shared.reused_verdicts.load(Ordering::Relaxed),
-            invalidated_verdicts: shared.invalidated_verdicts.load(Ordering::Relaxed),
+            stats,
         }
     }
 }
@@ -1103,11 +1043,9 @@ impl Session {
         let config = request.effective_config(&cancel, Instant::now());
         let shared = SharedStats::default();
         if let Some(w) = &warm {
-            shared
-                .invalidated_verdicts
-                .store(w.invalidated, Ordering::Relaxed);
+            shared.update(RUN_SLOT, |run| run.invalidated_verdicts = w.invalidated);
         }
-        let mut result = run_parallel(
+        let result = run_parallel(
             &request.task,
             &config,
             &|| request.analyzer.make(),
@@ -1118,9 +1056,6 @@ impl Session {
             &shared,
             request.seeds.clone(),
         )?;
-        if let Some(w) = &warm {
-            result.stats.invalidated_verdicts = w.invalidated;
-        }
         if request.retain {
             retain_into(
                 &self.priors,
@@ -1158,9 +1093,7 @@ impl Session {
         let config = request.effective_config(&cancel, started);
         let shared = Arc::new(SharedStats::default());
         if let Some(w) = &warm {
-            shared
-                .invalidated_verdicts
-                .store(w.invalidated, Ordering::Relaxed);
+            shared.update(RUN_SLOT, |run| run.invalidated_verdicts = w.invalidated);
         }
         let (tx, rx) = mpsc::channel();
 
@@ -1197,10 +1130,7 @@ impl Session {
                 request.seeds.clone(),
             );
             let _ = tx.send(match result {
-                Ok(mut result) => {
-                    if let Some(w) = &warm {
-                        result.stats.invalidated_verdicts = w.invalidated;
-                    }
+                Ok(result) => {
                     if request.retain {
                         let universe = RefUniverse::from_tables(&request.task.inputs);
                         let id_grid = demo_ref_sets(&request.task.demo, &universe)

@@ -1,6 +1,7 @@
 //! The abstraction-based enumerative synthesizer (Algorithm 1).
 //!
-//! [`synthesize`] explores the space of analytical SQL queries:
+//! The search behind [`crate::Session`] explores the space of analytical
+//! SQL queries:
 //!
 //! 1. **Skeletons** — operator compositions with every parameter a hole `□`
 //!    are enumerated up to a depth bound ([`construct_skeletons`]), ordered
@@ -19,8 +20,8 @@
 //!    timeout, or when a caller-supplied stop predicate fires.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sickle_table::{
@@ -34,7 +35,7 @@ use sickle_provenance::{
 
 use crate::abstract_eval::{abstract_evaluate_rc, demo_ref_sets};
 use crate::ast::{PQuery, Pred, Query};
-use crate::engine::{CachePolicy, CacheStats, EvalCache, Semantics};
+use crate::engine::{CachePolicy, EvalCache, Semantics};
 use crate::error::SickleError;
 
 /// A primary/foreign-key pair declared on the inputs; join predicates are
@@ -141,13 +142,10 @@ pub struct SynthConfig {
     /// single equivalent operator, so repeats only duplicate work).
     pub forbid_trivial_repeats: bool,
     /// External cancellation flag: the search stops (reporting a timeout)
-    /// as soon as this is set. Used by [`synthesize_parallel`] workers to
-    /// stop each other once enough solutions are found.
+    /// as soon as this is set ([`crate::CancelToken`] sets it).
     pub cancel: Option<Arc<AtomicBool>>,
-    /// Eviction policy of each worker's engine [`EvalCache`] (cap,
-    /// hysteresis low-water mark, cost-aware victim ordering,
-    /// star-channel spilling). [`CachePolicy::legacy`] restores the flat
-    /// second-chance sweep for A/B runs.
+    /// Eviction policy of each worker's engine [`EvalCache`] (cap and
+    /// hysteresis low-water mark).
     pub cache: CachePolicy,
 }
 
@@ -519,7 +517,13 @@ impl Analyzer for NoPruneAnalyzer {
 
 /// Counters describing a synthesis run (the quantities plotted in
 /// Figs. 12/13).
-#[derive(Debug, Clone, Default)]
+///
+/// The one definition of the search counters: [`SearchStats::merge`]
+/// combines workers, [`SearchStats::wire_fields`] /
+/// [`SearchStats::from_wire_fields`] carry them through the wire `stats`
+/// object, progress events and `BENCH_synthesis.json`. Adding a counter
+/// is one field here plus one row in the wire table below.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Queries (partial and concrete) taken off the work list.
     pub visited: usize,
@@ -597,135 +601,167 @@ pub struct SynthResult {
     pub stats: SearchStats,
 }
 
-/// Atomic search counters shared across [`synthesize_parallel`] workers:
-/// live aggregate visited/pruned/solution counts that every worker updates
-/// as it goes (per-worker wall-clock numbers are merged at the end), plus
-/// the internal "pool satisfied" flag that winds the other workers down.
+/// A counter's wire number: counts as-is, durations in seconds.
+trait WireNumber {
+    fn to_wire(self) -> f64;
+    fn from_wire(x: f64) -> Self;
+}
+
+impl WireNumber for usize {
+    fn to_wire(self) -> f64 {
+        self as f64
+    }
+
+    fn from_wire(x: f64) -> usize {
+        // `as` saturates: negative and NaN read 0.
+        x as usize
+    }
+}
+
+impl WireNumber for Duration {
+    fn to_wire(self) -> f64 {
+        self.as_secs_f64()
+    }
+
+    fn from_wire(x: f64) -> Duration {
+        Duration::try_from_secs_f64(x).unwrap_or_default()
+    }
+}
+
+/// One row of the wire table: a [`SearchStats`] counter's wire key and
+/// how to read, write and sum it.
+struct StatField {
+    key: &'static str,
+    get: fn(&SearchStats) -> f64,
+    set: fn(&mut SearchStats, f64),
+    add: fn(&mut SearchStats, &SearchStats),
+}
+
+macro_rules! stat_fields {
+    ($($key:literal => $field:ident,)*) => {
+        [$(StatField {
+            key: $key,
+            get: |s| WireNumber::to_wire(s.$field),
+            set: |s, x| s.$field = WireNumber::from_wire(x),
+            add: |s, o| s.$field += o.$field,
+        },)*]
+    };
+}
+
+/// Every counter in wire order — the only place that names the wire keys
+/// (`timed_out` travels beside the `stats` object, not in it).
+const STAT_FIELDS: [StatField; 20] = stat_fields! {
+    "visited" => visited,
+    "pruned" => pruned,
+    "concrete_checked" => concrete_checked,
+    "expanded" => expanded,
+    "wall_s" => elapsed,
+    "time_analyze_s" => time_analyze,
+    "time_eval_s" => time_concrete,
+    "time_materialize_s" => time_materialize,
+    "time_prefilter_s" => time_prefilter,
+    "time_match_s" => time_match,
+    "time_expand_s" => time_expand,
+    "time_join_s" => time_join,
+    "join_rows" => join_rows,
+    "cache_evictions" => cache_evictions,
+    "cache_demotions" => cache_demotions,
+    "cache_reevals" => cache_reevals,
+    "cache_reeval_s" => cache_reeval_time,
+    "reused_verdicts" => reused_verdicts,
+    "invalidated_verdicts" => invalidated_verdicts,
+    "mem_bytes" => mem_bytes,
+};
+
+impl SearchStats {
+    /// Folds another worker's counters into these. Counters sum, except
+    /// `elapsed` and `mem_bytes`, which take the max: workers run
+    /// concurrently and share the pool and analysis cache (the dominant
+    /// memory term). `timed_out` is or-ed.
+    pub fn merge(&mut self, other: &SearchStats) {
+        let elapsed = self.elapsed.max(other.elapsed);
+        let mem_bytes = self.mem_bytes.max(other.mem_bytes);
+        for f in &STAT_FIELDS {
+            (f.add)(self, other);
+        }
+        self.elapsed = elapsed;
+        self.mem_bytes = mem_bytes;
+        self.timed_out |= other.timed_out;
+    }
+
+    /// Every counter as `(wire key, number)`, in wire order; durations
+    /// are seconds.
+    pub fn wire_fields(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
+        STAT_FIELDS.iter().map(move |f| (f.key, (f.get)(self)))
+    }
+
+    /// The inverse of [`SearchStats::wire_fields`]: `lookup` returns the
+    /// number stored under a wire key; absent keys read 0.
+    pub fn from_wire_fields(lookup: impl Fn(&str) -> Option<f64>) -> SearchStats {
+        let mut stats = SearchStats::default();
+        for f in &STAT_FIELDS {
+            if let Some(x) = lookup(f.key) {
+                (f.set)(&mut stats, x);
+            }
+        }
+        stats
+    }
+}
+
+/// State shared by the workers of one run: the two control values that
+/// wind the workers down, plus one [`SearchStats`] slot per worker that
+/// live progress reads.
 #[derive(Debug, Default)]
 pub struct SharedStats {
-    /// Queries taken off any worker's work list.
-    pub visited: AtomicUsize,
-    /// Partial queries pruned by the analyzer, across workers.
-    pub pruned: AtomicUsize,
-    /// Concrete queries checked against Def. 1, across workers.
-    pub concrete_checked: AtomicUsize,
     /// Solutions found so far, across workers.
     pub solutions: AtomicUsize,
-    /// Nanoseconds spent materializing concrete candidates (acceptance
-    /// stage 1), across workers.
-    pub time_materialize_ns: AtomicU64,
-    /// Nanoseconds spent in the reference-containment prefilter
-    /// (acceptance stage 2), across workers.
-    pub time_prefilter_ns: AtomicU64,
-    /// Nanoseconds spent in the seeded Def. 1 match (acceptance stage 3),
-    /// across workers.
-    pub time_match_ns: AtomicU64,
-    /// Nanoseconds spent in the engine's filtered-join kernels, across
-    /// workers.
-    pub time_join_ns: AtomicU64,
-    /// Output rows produced by join kernels, across workers.
-    pub join_rows: AtomicUsize,
-    /// Engine-cache evictions across workers.
-    pub cache_evictions: AtomicUsize,
-    /// Engine-cache demotions (star-channel spills) across workers.
-    pub cache_demotions: AtomicUsize,
-    /// Engine-cache re-evaluations of evicted queries across workers.
-    pub cache_reevals: AtomicUsize,
-    /// Nanoseconds spent re-evaluating evicted queries across workers.
-    pub cache_reeval_ns: AtomicU64,
-    /// Approximate engine-cache bytes charged across workers, cumulative
-    /// (published as unsigned deltas, like the other cache counters).
-    pub mem_charged: AtomicU64,
-    /// Approximate engine-cache bytes released (evictions + demotions)
-    /// across workers, cumulative. Never exceeds `mem_charged`.
-    pub mem_released: AtomicU64,
-    /// Latest observed shared footprint gauge: the set pool plus the
-    /// analysis cache, in bytes (`fetch_max`-maintained — the structures
-    /// are shared across workers, so the latest high-water observation is
-    /// the right aggregate, not a sum).
-    pub mem_pool_bytes: AtomicU64,
-    /// Def. 3 verdicts served from the session-wide analysis cache during
-    /// this run (set once at run end — an end-of-run counter, not live).
-    pub reused_verdicts: AtomicUsize,
-    /// Memo entries invalidated by the warm-edit purge that preceded this
-    /// run (set by the session before the search enters).
-    pub invalidated_verdicts: AtomicUsize,
     /// Set when the pooled solution count satisfied the target (or a
     /// worker's stop predicate fired): peers stop without reporting a
     /// timeout. Distinct from `SynthConfig::cancel`, which is the
     /// *caller's* abort switch and is reported as a timeout, exactly as
     /// the sequential search reports it.
     pub satisfied: AtomicBool,
+    /// Slot [`RUN_SLOT`] holds the run-level counters (warm-edit
+    /// invalidations, verdict reuse); worker `w` overwrites slot `w + 1`
+    /// with its latest counters every [`PUBLISH_EVERY`] visits, on each
+    /// engine-cache sweep, on each solution and when it finishes.
+    slots: Mutex<Vec<SearchStats>>,
 }
 
-/// Panic adapter of the deprecated `synthesize*` shims: the session API
-/// returns internal failures as structured [`SickleError`]s, but the
-/// pre-0.3 free functions are infallible by signature — so an error
-/// surfaces as a panic whose payload carries the error's `kind()` tag and
-/// full message, never a bare `expect` string.
-fn expect_search(result: Result<SynthResult, SickleError>) -> SynthResult {
-    result.unwrap_or_else(|e| panic!("synthesis failed [{kind}]: {e}", kind = e.kind()))
+/// The [`SharedStats`] slot of counters that belong to the run, not to a
+/// worker.
+pub(crate) const RUN_SLOT: usize = 0;
+
+/// Visits between two publications of a worker's counters: live
+/// progress lags by at most this many visits, and the hot loop pays no
+/// atomics or locks per visit.
+const PUBLISH_EVERY: usize = 256;
+
+impl SharedStats {
+    /// Edits one slot in place (growing the slot list as needed).
+    pub(crate) fn update(&self, slot: usize, edit: impl FnOnce(&mut SearchStats)) {
+        let mut slots = self.slots.lock().expect("stats slot lock");
+        if slots.len() <= slot {
+            slots.resize_with(slot + 1, SearchStats::default);
+        }
+        edit(&mut slots[slot]);
+    }
+
+    /// Every slot folded with [`SearchStats::merge`]: the run's counters
+    /// so far — exactly its final counters once every worker finished.
+    pub(crate) fn total(&self) -> SearchStats {
+        let slots = self.slots.lock().expect("stats slot lock");
+        let mut total = SearchStats::default();
+        for s in slots.iter() {
+            total.merge(s);
+        }
+        total
+    }
 }
 
-/// Runs Algorithm 1 until `N` solutions are found or budgets expire.
-#[deprecated(
-    since = "0.3.0",
-    note = "build a SynthRequest and use Session::solve instead"
-)]
-pub fn synthesize(ctx: &TaskContext, config: &SynthConfig, analyzer: &dyn Analyzer) -> SynthResult {
-    expect_search(run_search(
-        ctx,
-        config,
-        analyzer,
-        construct_skeletons(ctx, config),
-        |_| false,
-        None,
-    ))
-}
-
-/// Runs Algorithm 1, additionally stopping as soon as `stop` accepts a
-/// found solution (used by the evaluation harness, which stops when the
-/// ground-truth query is recovered).
-#[deprecated(
-    since = "0.3.0",
-    note = "build a SynthRequest and use Session::solve_with instead"
-)]
-pub fn synthesize_until(
-    ctx: &TaskContext,
-    config: &SynthConfig,
-    analyzer: &dyn Analyzer,
-    stop: impl FnMut(&Query) -> bool,
-) -> SynthResult {
-    expect_search(run_search(
-        ctx,
-        config,
-        analyzer,
-        construct_skeletons(ctx, config),
-        stop,
-        None,
-    ))
-}
-
-/// Runs the search from an explicit work list of seed (partial) queries
-/// instead of the full skeleton enumeration. Used by tests, ablations and
-/// diagnostics.
-#[deprecated(
-    since = "0.3.0",
-    note = "use Session::solve with SynthRequest::with_seeds, or run_search via the session API"
-)]
-pub fn synthesize_seeded(
-    ctx: &TaskContext,
-    config: &SynthConfig,
-    analyzer: &dyn Analyzer,
-    seeds: Vec<PQuery>,
-    stop: impl FnMut(&Query) -> bool,
-) -> SynthResult {
-    expect_search(run_search(ctx, config, analyzer, seeds, stop, None))
-}
-
-/// The sequential search engine room behind [`crate::Session`] and the
-/// deprecated free functions: runs the work list to completion, with
-/// optional live counters shared across parallel workers.
+/// The sequential search behind [`crate::Session`]: runs the work list
+/// to completion. A worker of a parallel run passes the run's
+/// [`SharedStats`] and its slot there, and publishes its counters to it.
 ///
 /// # Errors
 ///
@@ -740,7 +776,7 @@ pub(crate) fn run_search(
     analyzer: &dyn Analyzer,
     seeds: Vec<PQuery>,
     mut stop: impl FnMut(&Query) -> bool,
-    shared: Option<&SharedStats>,
+    shared: Option<(&SharedStats, usize)>,
 ) -> Result<SynthResult, SickleError> {
     let started = Instant::now();
     let mut stats = SearchStats::default();
@@ -748,50 +784,35 @@ pub(crate) fn run_search(
     let mut work: VecDeque<PQuery> = seeds.into();
     // pop_back consumes from the end: reverse so smaller skeletons run first.
     work.make_contiguous().reverse();
-    let bump = |counter: fn(&SharedStats) -> &AtomicUsize| {
-        if let Some(s) = shared {
-            counter(s).fetch_add(1, Ordering::Relaxed);
-        }
-    };
-    let bump_time = |counter: fn(&SharedStats) -> &AtomicU64, d: Duration| {
-        if let Some(s) = shared {
-            counter(s).fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-        }
-    };
-    // Engine-cache churn counters: the cache is thread-local, so its
-    // totals are published to the shared live counters as deltas (once
-    // per visited query — two `Cell` reads on the happy path).
+    // The search loop counts only what it does; the clock, the engine
+    // cache's churn (the cache is thread-local, so read as deltas since
+    // the run began) and the footprint are read in when the counters are
+    // published.
     let cache_base = ctx.eval_cache.cache_stats();
-    let mut cache_seen = cache_base;
-    let sync_cache = |seen: &mut CacheStats| {
+    let mut sweeps_seen = cache_base.sweeps;
+    let settle = |stats: &mut SearchStats| {
         let now = ctx.eval_cache.cache_stats();
-        if now == *seen {
-            return; // happy path: no sweep since last sync, no atomics
+        stats.elapsed = started.elapsed();
+        stats.cache_evictions = now.evictions - cache_base.evictions;
+        stats.cache_demotions = now.demotions - cache_base.demotions;
+        stats.cache_reevals = now.reevals - cache_base.reevals;
+        stats.cache_reeval_time = Duration::from_nanos(now.reeval_ns - cache_base.reeval_ns);
+        stats.time_join = Duration::from_nanos(now.join_ns - cache_base.join_ns);
+        stats.join_rows = (now.join_rows - cache_base.join_rows) as usize;
+        // Resident bytes: shared structures (pool + analysis memos) plus
+        // this worker's live engine-cache footprint. The cache is fresh
+        // per request, so its lifetime charges/releases are exactly this
+        // run's.
+        let cache_live = now.mem_charged.saturating_sub(now.mem_released);
+        stats.mem_bytes = ctx.pool().approx_bytes()
+            + ctx.analysis.approx_bytes()
+            + usize::try_from(cache_live).unwrap_or(usize::MAX);
+    };
+    let publish = |stats: &mut SearchStats| {
+        if let Some((s, slot)) = shared {
+            settle(stats);
+            s.update(slot, |mine| mine.clone_from(stats));
         }
-        if let Some(s) = shared {
-            s.cache_evictions
-                .fetch_add(now.evictions - seen.evictions, Ordering::Relaxed);
-            s.cache_demotions
-                .fetch_add(now.demotions - seen.demotions, Ordering::Relaxed);
-            s.cache_reevals
-                .fetch_add(now.reevals - seen.reevals, Ordering::Relaxed);
-            s.cache_reeval_ns
-                .fetch_add(now.reeval_ns - seen.reeval_ns, Ordering::Relaxed);
-            s.time_join_ns
-                .fetch_add(now.join_ns - seen.join_ns, Ordering::Relaxed);
-            s.join_rows
-                .fetch_add((now.join_rows - seen.join_rows) as usize, Ordering::Relaxed);
-            s.mem_charged
-                .fetch_add(now.mem_charged - seen.mem_charged, Ordering::Relaxed);
-            s.mem_released
-                .fetch_add(now.mem_released - seen.mem_released, Ordering::Relaxed);
-            // The shared-footprint gauge rides the same slow path: it
-            // only moves when the engine cache churned, which is exactly
-            // when the pool was growing too.
-            let pool_bytes = (ctx.pool().approx_bytes() + ctx.analysis.approx_bytes()) as u64;
-            s.mem_pool_bytes.fetch_max(pool_bytes, Ordering::Relaxed);
-        }
-        *seen = now;
     };
 
     // Depth-first exploration: the skeleton seeds are size-ordered, and
@@ -818,7 +839,7 @@ pub(crate) fn run_search(
                 break;
             }
         }
-        if let Some(s) = shared {
+        if let Some((s, _)) = shared {
             // Another worker satisfied the pooled solution target (or its
             // stop predicate): stop quietly — this is a successful finish,
             // not a budget expiry.
@@ -829,12 +850,16 @@ pub(crate) fn run_search(
             }
         }
         stats.visited += 1;
-        bump(|s| &s.visited);
-        sync_cache(&mut cache_seen);
+        if shared.is_some() {
+            let sweeps = ctx.eval_cache.cache_stats().sweeps;
+            if sweeps != sweeps_seen || stats.visited % PUBLISH_EVERY == 0 {
+                sweeps_seen = sweeps;
+                publish(&mut stats);
+            }
+        }
 
         if pq.is_concrete() {
             stats.concrete_checked += 1;
-            bump(|s| &s.concrete_checked);
             let (demo_rows, demo_cols) = (ctx.demo_refs.n_rows(), ctx.demo_refs.n_cols());
 
             // Demo-dims fast reject, part 1 (free): a candidate whose
@@ -931,7 +956,6 @@ pub(crate) fn run_search(
             let d_mat = t0.elapsed();
             stats.time_materialize += d_mat;
             stats.time_concrete += d_mat;
-            bump_time(|s| &s.time_materialize_ns, d_mat);
             let Some(exec) = exec else { continue };
             let Some(star) = exec.try_star() else {
                 return Err(SickleError::Internal {
@@ -985,7 +1009,6 @@ pub(crate) fn run_search(
             let d_pre = t1.elapsed();
             stats.time_prefilter += d_pre;
             stats.time_concrete += d_pre;
-            bump_time(|s| &s.time_prefilter_ns, d_pre);
             if !found {
                 continue;
             }
@@ -1008,11 +1031,13 @@ pub(crate) fn run_search(
             let d_match = t2.elapsed();
             stats.time_match += d_match;
             stats.time_concrete += d_match;
-            bump_time(|s| &s.time_match_ns, d_match);
             if consistent {
+                publish(&mut stats);
                 let done = stop(&q);
                 solutions.push(q);
-                bump(|s| &s.solutions);
+                if let Some((s, _)) = shared {
+                    s.solutions.fetch_add(1, Ordering::Relaxed);
+                }
                 if done || solutions.len() >= config.max_solutions {
                     break 'search;
                 }
@@ -1025,7 +1050,6 @@ pub(crate) fn run_search(
         stats.time_analyze += t0.elapsed();
         if !feasible {
             stats.pruned += 1;
-            bump(|s| &s.pruned);
             continue;
         }
 
@@ -1036,29 +1060,9 @@ pub(crate) fn run_search(
         work.extend(children);
     }
 
-    stats.elapsed = started.elapsed();
-    sync_cache(&mut cache_seen);
-    stats.cache_evictions = cache_seen.evictions - cache_base.evictions;
-    stats.cache_demotions = cache_seen.demotions - cache_base.demotions;
-    stats.cache_reevals = cache_seen.reevals - cache_base.reevals;
-    stats.cache_reeval_time = Duration::from_nanos(cache_seen.reeval_ns - cache_base.reeval_ns);
-    stats.time_join = Duration::from_nanos(cache_seen.join_ns - cache_base.join_ns);
-    stats.join_rows = (cache_seen.join_rows - cache_base.join_rows) as usize;
-    // Resident bytes at run end: shared structures (pool + analysis
-    // memos) plus this worker's live engine-cache footprint. The cache
-    // is fresh per request, so its lifetime charges/releases are exactly
-    // this run's.
-    let cache_live = cache_seen
-        .mem_charged
-        .saturating_sub(cache_seen.mem_released);
-    stats.mem_bytes = ctx.pool().approx_bytes()
-        + ctx.analysis.approx_bytes()
-        + usize::try_from(cache_live).unwrap_or(usize::MAX);
-    if let Some(s) = shared {
-        s.mem_pool_bytes.fetch_max(
-            (ctx.pool().approx_bytes() + ctx.analysis.approx_bytes()) as u64,
-            Ordering::Relaxed,
-        );
+    settle(&mut stats);
+    if let Some((s, slot)) = shared {
+        s.update(slot, |mine| mine.clone_from(&stats));
     }
     // Rank by query size (stable: discovery order breaks ties), matching
     // the paper's size-based ranking of consistent queries.
@@ -1067,7 +1071,11 @@ pub(crate) fn run_search(
 }
 
 /// Runs Algorithm 1 with top-level skeleton expansion parallelized across
-/// `workers` OS threads.
+/// `workers` OS threads — the engine room behind
+/// [`crate::Session::solve`] / [`crate::Session::submit`], with the warm
+/// state (`pool`, `analysis`) and the live counters (`shared`) supplied by
+/// the caller so they can outlive — and be observed during — the run.
+/// `seeds` overrides the skeleton enumeration when supplied.
 ///
 /// The size-ordered skeleton list is dealt round-robin to the workers, so
 /// every thread starts on small skeletons. Each worker owns a private
@@ -1075,51 +1083,14 @@ pub(crate) fn run_search(
 /// the engine's `Rc`-shared tables are not `Sync`), but all contexts share
 /// one [`RefSetPool`] and one [`AnalysisCache`]: interned set ids are
 /// exchangeable across threads and a consistency verdict computed by one
-/// worker prunes the same abstract table everywhere. All workers update
-/// one [`SharedStats`] (live pruned/visited counts) and watch one
-/// cancellation flag: as soon as the pooled solution count reaches
-/// `config.max_solutions` (or any worker's `stop` fires), everyone winds
-/// down.
+/// worker prunes the same abstract table everywhere. As soon as the pooled
+/// solution count reaches `config.max_solutions` (or any worker's `stop`
+/// fires), every worker winds down. The run's counters are the fold of
+/// the workers' final slots in `shared`, so live progress read after the
+/// run equals the result.
 ///
 /// Merged results are ranked by query size exactly as the sequential
 /// search ranks them.
-#[deprecated(
-    since = "0.3.0",
-    note = "build a SynthRequest (with workers) and use Session::solve or Session::submit instead"
-)]
-pub fn synthesize_parallel(
-    task: &SynthTask,
-    config: &SynthConfig,
-    make_analyzer: impl Fn() -> Box<dyn Analyzer> + Sync,
-    workers: usize,
-    stop: impl Fn(&Query) -> bool + Sync,
-) -> SynthResult {
-    // One pool + one analysis cache for the whole run: ids interned by any
-    // worker resolve identically everywhere, and consistency verdicts
-    // computed on one thread serve the others (both structures are
-    // sharded internally — no global mutex on the hot path).
-    let pool = Arc::new(RefSetPool::new());
-    let analysis = Arc::new(AnalysisCache::new());
-    let shared = SharedStats::default();
-    expect_search(run_parallel(
-        task,
-        config,
-        &make_analyzer,
-        workers,
-        &stop,
-        pool,
-        analysis,
-        &shared,
-        None,
-    ))
-}
-
-/// The engine room behind [`crate::Session::solve`] /
-/// [`crate::Session::submit`] and the deprecated [`synthesize_parallel`]:
-/// the skeleton-sharded parallel search, with the warm state (`pool`,
-/// `analysis`) and the live counters (`shared`) supplied by the caller so
-/// they can outlive — and be observed during — the run. `seeds` overrides
-/// the skeleton enumeration when supplied.
 ///
 /// # Errors
 ///
@@ -1142,11 +1113,6 @@ pub(crate) fn run_parallel(
     // over the session-shared cache (measured once around the whole run
     // so parallel workers are not double counted).
     let hits_base = analysis.stats().hits;
-    let publish_reuse = |stats: &mut SearchStats| {
-        let reused = analysis.stats().hits.saturating_sub(hits_base);
-        stats.reused_verdicts = reused;
-        shared.reused_verdicts.fetch_add(reused, Ordering::Relaxed);
-    };
     let seed_ctx = TaskContext::with_shared_policy(
         task.clone(),
         Arc::clone(&pool),
@@ -1154,113 +1120,86 @@ pub(crate) fn run_parallel(
         config.cache,
     );
     let skeletons = seeds.unwrap_or_else(|| construct_skeletons(&seed_ctx, config));
-    if workers == 1 {
-        let mut result = run_search(
-            &seed_ctx,
+    let run_worker = |w: usize, ctx: &TaskContext, shard: Vec<PQuery>| {
+        run_search(
+            ctx,
             config,
             make_analyzer().as_ref(),
-            skeletons,
-            |q| stop(q),
-            Some(shared),
-        )?;
-        result.solutions.sort_by_key(Query::size);
-        publish_reuse(&mut result.stats);
-        return Ok(result);
-    }
-
-    // Deal skeletons round-robin so each worker sees small sizes first.
-    let mut shards: Vec<Vec<PQuery>> = vec![Vec::new(); workers];
-    for (i, sk) in skeletons.into_iter().enumerate() {
-        shards[i % workers].push(sk);
-    }
-
-    let results: Vec<Result<SynthResult, SickleError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|shard| {
-                let cfg = config.clone();
-                let pool = Arc::clone(&pool);
-                let analysis = Arc::clone(&analysis);
-                scope.spawn(move || {
-                    let ctx =
-                        TaskContext::with_shared_policy(task.clone(), pool, analysis, cfg.cache);
-                    let analyzer = make_analyzer();
-                    let max_solutions = cfg.max_solutions;
-                    run_search(
-                        &ctx,
-                        &cfg,
-                        analyzer.as_ref(),
-                        shard,
-                        |q| {
-                            // `shared.solutions` is incremented *after* this
-                            // callback returns, so count the solution at hand
-                            // too: once the pool reaches the target, stop the
-                            // other workers as well (they also watch the
-                            // pooled count directly, covering concurrent
-                            // finds that each see a stale count here).
-                            let found = shared.solutions.load(Ordering::Relaxed) + 1;
-                            if stop(q) || found >= max_solutions {
-                                shared.satisfied.store(true, Ordering::Relaxed);
-                                true
-                            } else {
-                                false
-                            }
-                        },
-                        Some(shared),
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("synthesis worker panicked"))
-            .collect()
-    });
-
-    let mut merged = SynthResult {
-        solutions: Vec::new(),
-        stats: SearchStats::default(),
+            shard,
+            |q| {
+                // `shared.solutions` is incremented *after* this callback
+                // returns, so count the solution at hand too: once the
+                // pool reaches the target, stop the other workers as well
+                // (they also watch the pooled count directly, covering
+                // concurrent finds that each see a stale count here).
+                let found = shared.solutions.load(Ordering::Relaxed) + 1;
+                if stop(q) || found >= config.max_solutions {
+                    shared.satisfied.store(true, Ordering::Relaxed);
+                    true
+                } else {
+                    false
+                }
+            },
+            Some((shared, w + 1)),
+        )
     };
-    for r in results {
-        // All workers are already joined: propagating the first internal
-        // error loses no thread.
-        let r = r?;
-        for q in r.solutions {
-            if !merged.solutions.contains(&q) {
-                merged.solutions.push(q);
-            }
+
+    let results: Vec<Result<SynthResult, SickleError>> = if workers == 1 {
+        vec![run_worker(0, &seed_ctx, skeletons)]
+    } else {
+        // Deal skeletons round-robin so each worker sees small sizes first.
+        let mut shards: Vec<Vec<PQuery>> = vec![Vec::new(); workers];
+        for (i, sk) in skeletons.into_iter().enumerate() {
+            shards[i % workers].push(sk);
         }
-        merged.stats.visited += r.stats.visited;
-        merged.stats.pruned += r.stats.pruned;
-        merged.stats.concrete_checked += r.stats.concrete_checked;
-        merged.stats.expanded += r.stats.expanded;
-        merged.stats.elapsed = merged.stats.elapsed.max(r.stats.elapsed);
-        merged.stats.time_analyze += r.stats.time_analyze;
-        merged.stats.time_concrete += r.stats.time_concrete;
-        merged.stats.time_materialize += r.stats.time_materialize;
-        merged.stats.time_prefilter += r.stats.time_prefilter;
-        merged.stats.time_match += r.stats.time_match;
-        merged.stats.time_expand += r.stats.time_expand;
-        merged.stats.time_join += r.stats.time_join;
-        merged.stats.join_rows += r.stats.join_rows;
-        merged.stats.cache_evictions += r.stats.cache_evictions;
-        merged.stats.cache_demotions += r.stats.cache_demotions;
-        merged.stats.cache_reevals += r.stats.cache_reevals;
-        merged.stats.cache_reeval_time += r.stats.cache_reeval_time;
-        // Workers share the pool and analysis cache (the dominant term),
-        // so the run's footprint is the max observation, not the sum.
-        merged.stats.mem_bytes = merged.stats.mem_bytes.max(r.stats.mem_bytes);
-        // Workers stopped by pool satisfaction break quietly (no timeout
-        // flag); a budget expiry racing the winning worker is still not a
-        // timeout for the run as a whole. External cancellation
-        // (`config.cancel`) and genuine budget expiry both surface as
-        // `timed_out`, exactly as in the sequential search.
-        merged.stats.timed_out |= r.stats.timed_out && !shared.satisfied.load(Ordering::Relaxed);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = shards
+                .into_iter()
+                .enumerate()
+                .map(|(w, shard)| {
+                    let (pool, analysis) = (Arc::clone(&pool), Arc::clone(&analysis));
+                    let run_worker = &run_worker;
+                    scope.spawn(move || {
+                        let ctx = TaskContext::with_shared_policy(
+                            task.clone(),
+                            pool,
+                            analysis,
+                            config.cache,
+                        );
+                        run_worker(w, &ctx, shard)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("synthesis worker panicked"))
+                .collect()
+        })
+    };
+
+    // All workers are already joined: propagating the first internal
+    // error loses no thread.
+    let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let mut found = results.into_iter().map(|r| r.solutions);
+    let mut solutions = found.next().unwrap_or_default();
+    // Two workers can discover the same query: keep the first find.
+    for q in found.flatten() {
+        if !solutions.contains(&q) {
+            solutions.push(q);
+        }
     }
-    merged.solutions.sort_by_key(Query::size);
-    merged.solutions.truncate(config.max_solutions);
-    publish_reuse(&mut merged.stats);
-    Ok(merged)
+    solutions.sort_by_key(Query::size);
+    solutions.truncate(config.max_solutions);
+    let reused = analysis.stats().hits.saturating_sub(hits_base);
+    shared.update(RUN_SLOT, |run| run.reused_verdicts = reused);
+    let mut stats = shared.total();
+    // Workers stopped by pool satisfaction break quietly (no timeout
+    // flag); a budget expiry racing the winning worker is still not a
+    // timeout for the run as a whole. External cancellation
+    // (`config.cancel`) and genuine budget expiry both surface as
+    // `timed_out`, exactly as in the sequential search.
+    stats.timed_out &= !shared.satisfied.load(Ordering::Relaxed);
+    Ok(SynthResult { solutions, stats })
 }
 
 // ---------------------------------------------------------------------------
@@ -1898,10 +1837,14 @@ fn join_pred_domain(left: &PQuery, right: &PQuery, ctx: &TaskContext) -> Vec<Pre
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shims stay covered until removal
-
     use super::*;
     use sickle_provenance::Demo;
+
+    /// The sequential search over the full skeleton enumeration.
+    fn search(ctx: &TaskContext, config: &SynthConfig, analyzer: &dyn Analyzer) -> SynthResult {
+        let skeletons = construct_skeletons(ctx, config);
+        run_search(ctx, config, analyzer, skeletons, |_| false, None).expect("search runs")
+    }
 
     fn enrollment() -> Table {
         Table::new(
@@ -2101,7 +2044,7 @@ mod tests {
             max_solutions: 5,
             ..SynthConfig::default()
         };
-        let res = synthesize(&ctx, &config, &ProvenanceAnalyzer);
+        let res = search(&ctx, &config, &ProvenanceAnalyzer);
         assert!(!res.solutions.is_empty(), "stats: {:?}", res.stats);
         // The first solution must be a group-by containing City with sum(Enrolled).
         let q = &res.solutions[0];
@@ -2125,7 +2068,7 @@ mod tests {
             timeout: Some(Duration::from_secs(120)),
             ..SynthConfig::default()
         };
-        let res = synthesize(&ctx, &config, &ProvenanceAnalyzer);
+        let res = search(&ctx, &config, &ProvenanceAnalyzer);
         assert!(
             !res.solutions.is_empty(),
             "no solution; stats {:?}",
@@ -2148,8 +2091,8 @@ mod tests {
             max_visited: Some(200_000),
             ..SynthConfig::default()
         };
-        let with = synthesize(&ctx, &config, &ProvenanceAnalyzer);
-        let without = synthesize(&ctx, &config, &NoPruneAnalyzer);
+        let with = search(&ctx, &config, &ProvenanceAnalyzer);
+        let without = search(&ctx, &config, &NoPruneAnalyzer);
         // Neither finds a depth-2 solution; pruning must visit far fewer.
         assert!(with.solutions.is_empty());
         assert!(
@@ -2184,27 +2127,6 @@ mod tests {
     }
 
     #[test]
-    fn shim_panic_payload_carries_error_kind_and_message() {
-        // The deprecated shims are infallible by signature; an internal
-        // error must surface as a panic whose payload includes the
-        // structured error's kind() tag and message, not a bare expect.
-        let err = std::panic::catch_unwind(|| {
-            expect_search(Err(SickleError::Internal {
-                message: "candidate reported concrete but failed to convert".to_string(),
-            }))
-        })
-        .expect_err("expect_search must panic on Err");
-        let msg = err
-            .downcast_ref::<String>()
-            .expect("panic payload must be a formatted String");
-        assert!(msg.contains("[internal]"), "missing kind tag: {msg}");
-        assert!(
-            msg.contains("candidate reported concrete but failed to convert"),
-            "missing error message: {msg}"
-        );
-    }
-
-    #[test]
     fn cache_policy_threads_through_the_search() {
         let ctx = TaskContext::with_policy(
             SynthTask::new(
@@ -2223,7 +2145,7 @@ mod tests {
             max_solutions: 1,
             ..SynthConfig::default()
         };
-        let res = synthesize(&ctx, &config, &ProvenanceAnalyzer);
+        let res = search(&ctx, &config, &ProvenanceAnalyzer);
         assert!(!res.solutions.is_empty());
         // A cap this small must have swept and re-evaluated something.
         let cs = ctx.eval_cache.cache_stats();

@@ -58,7 +58,7 @@
 //!         SolutionEvent::Solution { index, query } => {
 //!             println!("solution #{}: {query}", index + 1)
 //!         }
-//!         SolutionEvent::Progress(p) => eprintln!("visited {}", p.visited),
+//!         SolutionEvent::Progress(p) => eprintln!("visited {}", p.stats.visited),
 //!         SolutionEvent::Done(result) => println!("{} total", result.solutions.len()),
 //!         _ => {}
 //!     }
@@ -89,9 +89,6 @@
 //!   and the [`Session`] API in front of it;
 //! * [`sickle_baselines`] — the type/value-abstraction baselines of §5;
 //! * [`sickle_benchmarks`] — the 80-task evaluation suite.
-//!
-//! The pre-0.3 free functions (`synthesize`, `synthesize_parallel`, …)
-//! remain available as deprecated shims over the same internals.
 
 #![warn(missing_docs)]
 
@@ -104,8 +101,6 @@ pub use sickle_core::{
     SickleError, SolutionEvent, SolutionStream, SynthConfig, SynthRequest, SynthResult, SynthTask,
     TaskContext,
 };
-#[allow(deprecated)]
-pub use sickle_core::{synthesize, synthesize_parallel, synthesize_until};
 pub use sickle_provenance::{
     demo_consistent, expr_consistent, parse_expr, CellRef, Demo, DemoExpr, Expr, FuncName,
     ParseError,

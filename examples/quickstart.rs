@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 println!("found solution #{}: {query}", index + 1);
             }
             SolutionEvent::Progress(p) => {
-                println!("  … visited {} queries so far", p.visited);
+                println!("  … visited {} queries so far", p.stats.visited);
             }
             SolutionEvent::Done(result) => {
                 println!(

@@ -52,8 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .with_timeout(Some(Duration::from_secs(300)))
                 .with_max_solutions(1),
         );
-    // Stop on the very first consistent query, as the old
-    // `synthesize_until(…, |_| true)` call did.
+    // Stop on the very first consistent query.
     let result = session.solve_with(&request, |_| true)?;
     println!(
         "search: visited {} queries, pruned {}, {:.2}s",

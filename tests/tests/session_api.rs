@@ -7,7 +7,7 @@
 //! * a warm session rerun is byte-identical to a cold run under the
 //!   `solutions`-oracle rendering, while reusing the session pool (no
 //!   re-interning);
-//! * the deprecated free functions still agree with the session API.
+//! * live progress read after the run equals the run's result.
 
 use std::time::Duration;
 
@@ -115,7 +115,7 @@ fn stream_cancellation_keeps_streamed_solutions() {
         );
     }
     let progress = stream.progress();
-    assert!(progress.visited > 0);
+    assert!(progress.stats.visited > 0);
     assert!(progress.solutions >= streamed.len());
 }
 
@@ -189,9 +189,7 @@ fn warm_session_rerun_is_byte_identical_to_cold_run() {
         let cap = default_cache.cap.max(4) / 4;
         let degraded = default_cache
             .with_cap(cap)
-            .with_low_water(cap.saturating_mul(3) / 4)
-            .with_cost_aware(true)
-            .with_spill(true);
+            .with_low_water(cap.saturating_mul(3) / 4);
         let result = Session::new()
             .solve(&oracle_request(id, budget).with_cache_policy(degraded))
             .expect("request validates");
@@ -208,21 +206,38 @@ fn warm_session_rerun_is_byte_identical_to_cold_run() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_shims_agree_with_session_api() {
-    use sickle_core::{synthesize, ProvenanceAnalyzer, TaskContext};
-    let request = oracle_request(1, 5_000);
-    let via_session = Session::new().solve(&request).expect("request validates");
-
-    let suite = all_benchmarks();
-    let (task, _) = suite[0].task(2022).expect("demo generates");
-    let config = suite[0]
-        .config()
-        .with_timeout(None)
-        .with_max_visited(Some(5_000))
-        .with_max_solutions(10);
-    let ctx = TaskContext::new(task);
-    let via_shim = synthesize(&ctx, &config, &ProvenanceAnalyzer);
-
-    assert_eq!(oracle_render(&via_session), oracle_render(&via_shim));
+fn progress_after_done_equals_the_result() {
+    // Every worker publishes its final counters before the run returns,
+    // so the live counters read after `Done` are the result's counters.
+    for workers in [1, 2] {
+        let session = Session::new();
+        let request = oracle_request(44, 5_000).with_workers(workers);
+        let mut stream = session.submit(request).expect("request validates");
+        let result = loop {
+            match stream.next() {
+                Some(SolutionEvent::Done(result)) => break result,
+                Some(_) => {}
+                None => panic!("stream ended without Done"),
+            }
+        };
+        let progress = stream.progress();
+        assert!(result.stats.visited > 0);
+        for (name, live, done) in [
+            ("visited", progress.stats.visited, result.stats.visited),
+            ("pruned", progress.stats.pruned, result.stats.pruned),
+            (
+                "concrete_checked",
+                progress.stats.concrete_checked,
+                result.stats.concrete_checked,
+            ),
+            ("expanded", progress.stats.expanded, result.stats.expanded),
+        ] {
+            assert_eq!(live, done, "{name} at workers={workers}");
+        }
+        // Beyond those four, every counter but the clock agrees too.
+        let mut live = progress.stats;
+        live.elapsed = result.stats.elapsed;
+        live.timed_out = result.stats.timed_out;
+        assert_eq!(live, result.stats, "workers={workers}");
+    }
 }
