@@ -96,10 +96,9 @@ mod legacy {
                     .map(|g| {
                         let mut row: Vec<Expr> = keys
                             .iter()
-                            .map(|&k| Expr::group(g.iter().map(|&i| star[i][k].clone()).collect()))
+                            .map(|&k| Expr::group(g.iter().map(|&i| &star[i][k])))
                             .collect();
-                        let members: Vec<Expr> =
-                            g.iter().map(|&i| star[i][*target].clone()).collect();
+                        let members = g.iter().map(|&i| &star[i][*target]);
                         row.push(Expr::apply(FuncName::Agg(*agg), members));
                         row
                     })
@@ -144,10 +143,8 @@ mod legacy {
 
     fn window_term(func: AnalyticFunc, members: &[Expr], pos: usize) -> Expr {
         match func {
-            AnalyticFunc::Agg(a) => Expr::apply(FuncName::Agg(a), members.to_vec()),
-            AnalyticFunc::CumSum => {
-                Expr::apply(FuncName::Agg(AggFunc::Sum), members[..=pos].to_vec())
-            }
+            AnalyticFunc::Agg(a) => Expr::apply(FuncName::Agg(a), members),
+            AnalyticFunc::CumSum => Expr::apply(FuncName::Agg(AggFunc::Sum), &members[..=pos]),
             AnalyticFunc::Rank | AnalyticFunc::DenseRank => {
                 let mut args = Vec::with_capacity(members.len() + 1);
                 args.push(members[pos].clone());
@@ -157,7 +154,7 @@ mod legacy {
                 } else {
                     FuncName::DenseRank
                 };
-                Expr::Apply(f, args)
+                Expr::Apply(f, args.into())
             }
         }
     }

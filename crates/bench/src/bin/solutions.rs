@@ -76,30 +76,28 @@ fn main() {
         for (i, q) in res.solutions.iter().enumerate() {
             println!("  {:2}. {q}", i + 1);
         }
-        // Timing goes to stderr so stdout stays byte-for-byte reproducible.
-        // Pool size and hit/miss counters are cumulative session totals.
+        // Timing goes to stderr so stdout stays byte-for-byte reproducible:
+        // every search counter under its wire key (durations in seconds),
+        // then the cumulative session totals of pool size and hits/misses.
+        let counters: Vec<String> = res
+            .stats
+            .wire_fields()
+            .map(|(key, x)| {
+                if key.ends_with("_s") {
+                    format!("{key}={x:.3}")
+                } else {
+                    format!("{key}={x}")
+                }
+            })
+            .collect();
         let cs = session.analysis_stats();
         eprintln!(
-            "{:2} wall={:.3}s analyze={:.3}s concrete={:.3}s (mat={:.3}s pre={:.3}s match={:.3}s) \
-             expand={:.3}s join={:.3}s join_rows={} pool={} hits={} misses={} \
-             cache(ev={} dem={} reeval={} reeval_ms={:.1})",
+            "{:2} {} pool={} hits={} misses={}",
             b.id,
-            res.stats.elapsed.as_secs_f64(),
-            res.stats.time_analyze.as_secs_f64(),
-            res.stats.time_concrete.as_secs_f64(),
-            res.stats.time_materialize.as_secs_f64(),
-            res.stats.time_prefilter.as_secs_f64(),
-            res.stats.time_match.as_secs_f64(),
-            res.stats.time_expand.as_secs_f64(),
-            res.stats.time_join.as_secs_f64(),
-            res.stats.join_rows,
+            counters.join(" "),
             session.pool().size(),
             cs.hits,
-            cs.misses,
-            res.stats.cache_evictions,
-            res.stats.cache_demotions,
-            res.stats.cache_reevals,
-            res.stats.cache_reeval_time.as_secs_f64() * 1e3
+            cs.misses
         );
         let rank = res
             .solutions

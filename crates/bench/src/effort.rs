@@ -199,9 +199,9 @@ mod tests {
     fn expressions_win_on_wide_aggregations() {
         let e = Expr::apply(
             FuncName::Agg(sickle_table::AggFunc::Sum),
-            (0..16)
+            &(0..16)
                 .map(|i| Expr::Ref(sickle_provenance::CellRef::new(0, i, 0)))
-                .collect(),
+                .collect::<Vec<_>>(),
         );
         let c = cell_effort(&e);
         assert!(c.partial_expr < c.example);

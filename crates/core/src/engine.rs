@@ -45,7 +45,7 @@ use std::hash::BuildHasher;
 
 use crate::ast::{Pred, Query};
 use crate::eval::EvalError;
-use crate::prov_eval::{expand_arith, window_term, ProvTable};
+use crate::prov_eval::{expand_arith, window_column, ProvTable};
 
 /// Which channels of an [`ExecTable`] a caller needs.
 ///
@@ -79,7 +79,45 @@ pub struct ExecTable {
     /// Per-cell lazy ref sets (row-major `row * n_cols + col`), for probes
     /// that touch only part of the grid (the acceptance prefilter); the
     /// whole-grid channels above stay untouched until someone needs them.
-    cell_sets: OnceCell<Vec<OnceCell<RefSet>>>,
+    cell_sets: OnceCell<CellSets>,
+}
+
+/// The per-cell lazy set channel of an [`ExecTable`]: one slot per cell
+/// plus the shared-term memo its conversions go through (the table's star
+/// grid pins every term, so the memo's address keys stay valid).
+#[derive(Debug, Clone)]
+struct CellSets {
+    cells: Vec<OnceCell<RefSet>>,
+    terms: RefCell<TermSets>,
+}
+
+/// Converts star terms to reference sets, once per distinct shared term.
+///
+/// Cells cloned from one compound term — every row of an aggregate-window
+/// partition, a subterm reused by a later operator — share its payload
+/// block ([`Expr::payload`]); the first conversion is kept under the
+/// block's address and cloned for the others. An address identifies a
+/// term only while it is alive, so one `TermSets` must only see terms
+/// pinned by the caller (one star column or grid) for its whole life.
+/// Leaves and unshared blocks convert directly, without a memo probe.
+/// Every set equals `universe.set_from(e.refs())`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TermSets {
+    seen: FxMap<usize, RefSet>,
+}
+
+impl TermSets {
+    /// `ref(e)` as a set over `universe`.
+    pub(crate) fn set_of(&mut self, universe: &RefUniverse, e: &Expr) -> RefSet {
+        match e.payload() {
+            Some(block) if Arc::strong_count(block) > 1 => self
+                .seen
+                .entry(Arc::as_ptr(block).cast::<Expr>() as usize)
+                .or_insert_with(|| universe.set_of(e))
+                .clone(),
+            _ => universe.set_of(e),
+        }
+    }
 }
 
 impl ExecTable {
@@ -118,8 +156,10 @@ impl ExecTable {
     ///
     /// Panics if the result was computed at [`Semantics::Values`].
     pub fn sets(&self, universe: &RefUniverse) -> &Grid<RefSet> {
-        self.sets
-            .get_or_init(|| self.star().map(|e| universe.set_from(e.refs())))
+        self.sets.get_or_init(|| {
+            let mut terms = TermSets::default();
+            self.star().map(|e| terms.set_of(universe, e))
+        })
     }
 
     /// The reference set of one star cell, converted on demand and
@@ -138,10 +178,12 @@ impl ExecTable {
             return &grid[(row, col)];
         }
         let star = self.star();
-        let cells = self
-            .cell_sets
-            .get_or_init(|| vec![OnceCell::new(); star.n_rows() * star.n_cols()]);
-        cells[row * star.n_cols() + col].get_or_init(|| universe.set_from(star[(row, col)].refs()))
+        let memo = self.cell_sets.get_or_init(|| CellSets {
+            cells: vec![OnceCell::new(); star.n_rows() * star.n_cols()],
+            terms: RefCell::default(),
+        });
+        memo.cells[row * star.n_cols() + col]
+            .get_or_init(|| memo.terms.borrow_mut().set_of(universe, &star[(row, col)]))
     }
 
     /// Per-cell reference sets interned into `pool`, computed from
@@ -831,7 +873,7 @@ fn exec_group(
             cols.push(
                 groups
                     .iter()
-                    .map(|g| Expr::group(g.iter().map(|&i| col[i].clone()).collect()))
+                    .map(|g| Expr::group(g.iter().map(|&i| &col[i])))
                     .collect(),
             );
         }
@@ -842,7 +884,7 @@ fn exec_group(
                 .map(|g| {
                     Expr::apply(
                         sickle_provenance::FuncName::Agg(agg),
-                        g.iter().map(|&i| tcol[i].clone()).collect(),
+                        g.iter().map(|&i| &tcol[i]),
                     )
                 })
                 .collect(),
@@ -882,23 +924,10 @@ fn exec_partition(
     }
     let values = Table::from_named_grid(names, src.values.grid().with_column(new_col));
 
-    // Star channel: per-row window terms over the partition's members.
+    // Star channel: window terms over the partition's members.
     let star = sem.wants_star().then(|| {
         let sg = src.star();
-        let tcol = sg.column(target);
-        let mut new_col: Vec<Option<Expr>> = vec![None; n_rows];
-        for g in &groups {
-            let members: Vec<Expr> = g.iter().map(|&i| tcol[i].clone()).collect();
-            for (pos, &i) in g.iter().enumerate() {
-                new_col[i] = Some(window_term(func, &members, pos));
-            }
-        }
-        sg.with_column(
-            new_col
-                .into_iter()
-                .map(|e| e.expect("every row belongs to a group"))
-                .collect(),
-        )
+        sg.with_column(window_column(func, sg.column(target), &groups, n_rows))
     });
 
     Ok(table(values, star))
@@ -1598,10 +1627,11 @@ impl EvalCache {
         if let Some((_, sets)) = self.star_cols.borrow().get(&key) {
             return Arc::clone(sets);
         }
+        let mut terms = TermSets::default();
         let sets = Arc::new(
             col_arc
                 .iter()
-                .map(|e| universe.set_from(e.refs()))
+                .map(|e| terms.set_of(universe, e))
                 .collect::<Vec<RefSet>>(),
         );
         let mut map = self.star_cols.borrow_mut();
@@ -1655,9 +1685,7 @@ impl EvalCache {
                             Arc::new(
                                 groups
                                     .iter()
-                                    .map(|g| {
-                                        Expr::group(g.iter().map(|&i| col[i].clone()).collect())
-                                    })
+                                    .map(|g| Expr::group(g.iter().map(|&i| &col[i])))
                                     .collect(),
                             )
                         })
@@ -1707,7 +1735,7 @@ impl EvalCache {
                     .map(|g| {
                         Expr::apply(
                             sickle_provenance::FuncName::Agg(agg),
-                            g.iter().map(|&i| tcol[i].clone()).collect(),
+                            g.iter().map(|&i| &tcol[i]),
                         )
                     })
                     .collect(),
@@ -1754,20 +1782,7 @@ impl EvalCache {
 
         let star = sem.wants_star().then(|| {
             let sg = child.star();
-            let tcol = sg.column(target);
-            let mut new_col: Vec<Option<Expr>> = vec![None; n_rows];
-            for g in groups.iter() {
-                let members: Vec<Expr> = g.iter().map(|&i| tcol[i].clone()).collect();
-                for (pos, &i) in g.iter().enumerate() {
-                    new_col[i] = Some(window_term(func, &members, pos));
-                }
-            }
-            sg.with_column(
-                new_col
-                    .into_iter()
-                    .map(|e| e.expect("every row belongs to a group"))
-                    .collect(),
-            )
+            sg.with_column(window_column(func, sg.column(target), &groups, n_rows))
         });
 
         Ok(table(values, star))
@@ -2550,6 +2565,107 @@ mod tests {
             .exec(&unprobed, Semantics::Provenance, &inputs)
             .unwrap();
         assert_eq!(*freed.sets(&u), *want.sets(&u));
+    }
+
+    /// 40 rows × 4 columns = 160 cells: reference sets over this input
+    /// exceed the inline width, so conversions take the wide path.
+    fn tall_input() -> Table {
+        Table::new(
+            ["k", "g", "v", "w"],
+            (0..40)
+                .map(|i| {
+                    let i = i as i64;
+                    vec![
+                        (i % 3).into(),
+                        (i % 2).into(),
+                        i.into(),
+                        (i * 7 % 11).into(),
+                    ]
+                })
+                .collect(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn aggregate_window_rows_share_one_term_per_partition() {
+        use std::hash::{BuildHasher, RandomState};
+        let q = Query::Partition {
+            src: Box::new(Query::Input(0)),
+            keys: vec![0],
+            func: AnalyticFunc::Agg(AggFunc::Sum),
+            target: 2,
+        };
+        let inputs = [input()];
+        let cache = EvalCache::new();
+        let direct = ProvenanceEngine.exec(&q, &inputs).unwrap();
+        let shared = cache.exec(&q, Semantics::Provenance, &inputs).unwrap();
+        for out in [&direct, &*shared] {
+            let col = out.star().column(4);
+            let block = |row: usize| col[row].payload().expect("window terms are compound");
+            // Rows 0, 1 are city A, rows 2, 3 city B: one block each.
+            assert!(Arc::ptr_eq(block(0), block(1)));
+            assert!(Arc::ptr_eq(block(2), block(3)));
+            assert!(!Arc::ptr_eq(block(0), block(2)));
+            // Sharing is invisible: the shared term equals, hashes and
+            // prints as the same term built from scratch.
+            let scratch = Expr::apply(
+                sickle_provenance::FuncName::Agg(AggFunc::Sum),
+                &[
+                    Expr::Ref(CellRef::new(0, 0, 2)),
+                    Expr::Ref(CellRef::new(0, 1, 2)),
+                ],
+            );
+            assert!(!Arc::ptr_eq(block(1), scratch.payload().unwrap()));
+            assert_eq!(col[1], scratch);
+            let hasher = RandomState::new();
+            assert_eq!(hasher.hash_one(&col[1]), hasher.hash_one(&scratch));
+            assert_eq!(col[1].to_string(), scratch.to_string());
+            assert_eq!(col[1].to_string(), "sum(T1[1,3], T1[2,3])");
+        }
+    }
+
+    #[test]
+    fn star_col_sets_match_naive_refs() {
+        let group = Query::Group {
+            src: Box::new(Query::Input(0)),
+            keys: vec![0, 1],
+            agg: AggFunc::Sum,
+            target: 2,
+        };
+        let mut queries = Vec::new();
+        for func in AnalyticFunc::ALL {
+            let window = Query::Partition {
+                src: Box::new(group.clone()),
+                keys: vec![0],
+                func,
+                target: 2,
+            };
+            queries.push(Query::Arith {
+                src: Box::new(window.clone()),
+                func: ArithExpr::bin(ArithOp::Div, ArithExpr::Param(0), ArithExpr::Param(1)),
+                cols: vec![2, 3],
+            });
+            queries.push(window);
+        }
+        for inputs in [[input()], [tall_input()]] {
+            let u = RefUniverse::from_tables(&inputs);
+            let cache = EvalCache::new();
+            for q in &queries {
+                let out = cache.exec(q, Semantics::Provenance, &inputs).unwrap();
+                let star = out.star();
+                for c in 0..star.n_cols() {
+                    let naive: Vec<RefSet> = star
+                        .column(c)
+                        .iter()
+                        .map(|e| u.set_from(e.refs()))
+                        .collect();
+                    assert_eq!(*cache.star_col_sets(star, &u, c), naive, "{q} col {c}");
+                    // The memoized entry is the same conversion.
+                    assert_eq!(*cache.star_col_sets(star, &u, c), naive, "{q} col {c}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //!
 //! * `group` wraps key-column members in `group{…}` terms and builds
 //!   `α(member₁, …)` aggregate terms;
-//! * `partition` appends per-row window terms — `cumsum` becomes a `sum`
-//!   over the row's prefix within its partition (which then flattens with
-//!   inner `sum`s, yielding the Fig. 4 terms), `rank`/`dense_rank` become
-//!   `rank(own, peers…)`;
+//! * `partition` appends window terms — an aggregate window builds one
+//!   `α(member₁, …)` term per partition and broadcasts it, so every row of
+//!   the partition shares that term's payload (O(m) nodes per partition,
+//!   not O(m²)); `cumsum` becomes a per-row `sum` over the row's prefix
+//!   within its partition (which then flattens with inner `sum`s, yielding
+//!   the Fig. 4 terms) and `rank`/`dense_rank` a per-row
+//!   `rank(own, peers…)` — these differ per row and stay O(m²);
 //! * `arithmetic` expands the function body `γ` into nested applications.
 //!
 //! Since the engine refactor, [`prov_evaluate`] is the star channel of the
@@ -18,7 +21,7 @@
 //! cell's expression, which the old row-major interpreter did on every
 //! consultation.
 
-use sickle_table::{AnalyticFunc, ArithExpr, Grid, Table};
+use sickle_table::{AggFunc, AnalyticFunc, ArithExpr, Grid, Table};
 
 use sickle_provenance::{Expr, FuncName};
 
@@ -68,32 +71,58 @@ pub fn concretize(star: &ProvTable, inputs: &[Table]) -> Table {
     Table::from_grid(grid)
 }
 
-/// The window term for row `pos` of a partition whose target-column member
-/// expressions are `members`:
+/// The window column of a partition: for each partition `g` (row indices,
+/// in partition order) the term of every member row over the partition's
+/// target-column terms `tcol[g[0]], …`:
 ///
-/// * aggregates broadcast — `α(member₁, …)` for every row;
-/// * `cumsum` takes the prefix — `sum(member₁, …, member_pos)`;
-/// * `rank`/`dense_rank` prepend the row's own value — `rank(own, peers…)`.
-pub(crate) fn window_term(func: AnalyticFunc, members: &[Expr], pos: usize) -> Expr {
-    match func {
-        AnalyticFunc::Agg(a) => Expr::apply(FuncName::Agg(a), members.to_vec()),
-        AnalyticFunc::CumSum => Expr::apply(
-            FuncName::Agg(sickle_table::AggFunc::Sum),
-            members[..=pos].to_vec(),
-        ),
-        AnalyticFunc::Rank => {
-            let mut args = Vec::with_capacity(members.len() + 1);
-            args.push(members[pos].clone());
-            args.extend(members.iter().cloned());
-            Expr::Apply(FuncName::Rank, args)
-        }
-        AnalyticFunc::DenseRank => {
-            let mut args = Vec::with_capacity(members.len() + 1);
-            args.push(members[pos].clone());
-            args.extend(members.iter().cloned());
-            Expr::Apply(FuncName::DenseRank, args)
+/// * aggregates broadcast — one `α(member₁, …)` term is built per
+///   partition and every row gets a clone of it, sharing its payload;
+/// * `cumsum` takes the prefix — `sum(member₁, …, member_pos)`, built per
+///   row;
+/// * `rank`/`dense_rank` prepend the row's own value — `rank(own, peers…)`,
+///   built per row.
+///
+/// # Panics
+///
+/// Panics if `groups` does not cover every row `0..n_rows`.
+pub(crate) fn window_column(
+    func: AnalyticFunc,
+    tcol: &[Expr],
+    groups: &[Vec<usize>],
+    n_rows: usize,
+) -> Vec<Expr> {
+    let mut col: Vec<Option<Expr>> = vec![None; n_rows];
+    for g in groups {
+        let members = g.iter().map(|&i| &tcol[i]);
+        match func {
+            AnalyticFunc::Agg(a) => {
+                let term = Expr::apply(FuncName::Agg(a), members);
+                for &i in g {
+                    col[i] = Some(term.clone());
+                }
+            }
+            AnalyticFunc::CumSum => {
+                for (pos, &i) in g.iter().enumerate() {
+                    let prefix = g[..=pos].iter().map(|&j| &tcol[j]);
+                    col[i] = Some(Expr::apply(FuncName::Agg(AggFunc::Sum), prefix));
+                }
+            }
+            AnalyticFunc::Rank | AnalyticFunc::DenseRank => {
+                let f = if func == AnalyticFunc::Rank {
+                    FuncName::Rank
+                } else {
+                    FuncName::DenseRank
+                };
+                for &i in g {
+                    let args = std::iter::once(&tcol[i]).chain(members.clone());
+                    col[i] = Some(Expr::Apply(f, args.cloned().collect()));
+                }
+            }
         }
     }
+    col.into_iter()
+        .map(|e| e.expect("every row belongs to a group"))
+        .collect()
 }
 
 /// Expands an arithmetic function body into a provenance term over the
@@ -104,7 +133,7 @@ pub fn expand_arith(func: &ArithExpr, args: &[Expr]) -> Expr {
         ArithExpr::Lit(v) => Expr::Const(v.clone()),
         ArithExpr::Bin(op, l, r) => Expr::apply(
             FuncName::Op(*op),
-            vec![expand_arith(l, args), expand_arith(r, args)],
+            &[expand_arith(l, args), expand_arith(r, args)],
         ),
     }
 }
@@ -115,7 +144,7 @@ mod tests {
     use crate::ast::Pred;
     use crate::eval::evaluate;
     use sickle_provenance::CellRef;
-    use sickle_table::{AggFunc, ArithOp, CmpOp, Value};
+    use sickle_table::{ArithOp, CmpOp, Value};
 
     /// Fig. 1's input table (8 rows of city A and 2 of city B for brevity
     /// in some tests; the full running example lives in the integration

@@ -29,7 +29,7 @@ use crate::matching::{
 /// let demo = parse_expr("sum(T[1,4], ..., T[8,4])").unwrap();
 /// let star = Expr::apply(
 ///     FuncName::Agg(AggFunc::Sum),
-///     (0..8).map(|r| Expr::Ref(CellRef::new(0, r, 3))).collect(),
+///     &(0..8).map(|r| Expr::Ref(CellRef::new(0, r, 3))).collect::<Vec<_>>(),
 /// );
 /// assert!(expr_consistent(&demo, &star));
 /// ```
@@ -58,7 +58,10 @@ pub fn expr_consistent(e: &DemoExpr, star: &Expr) -> bool {
                 (false, true) => subsequence_args_match(args, sargs),
                 (false, false) => {
                     args.len() == sargs.len()
-                        && args.iter().zip(sargs).all(|(a, s)| expr_consistent(a, s))
+                        && args
+                            .iter()
+                            .zip(sargs.iter())
+                            .all(|(a, s)| expr_consistent(a, s))
                 }
             }
         }
@@ -287,7 +290,7 @@ mod tests {
         Expr::Ref(CellRef::new(0, row, col))
     }
 
-    fn sum(args: Vec<Expr>) -> Expr {
+    fn sum(args: &[Expr]) -> Expr {
         Expr::apply(FuncName::Agg(AggFunc::Sum), args)
     }
 
@@ -301,16 +304,16 @@ mod tests {
     #[test]
     fn ref_matches_group_member() {
         let d = parse_expr("T[2,1]").unwrap();
-        let g = Expr::group(vec![r(0, 0), r(1, 0)]);
+        let g = Expr::group(&[r(0, 0), r(1, 0)]);
         assert!(expr_consistent(&d, &g));
-        let g2 = Expr::group(vec![r(2, 0), r(3, 0)]);
+        let g2 = Expr::group(&[r(2, 0), r(3, 0)]);
         assert!(!expr_consistent(&d, &g2));
     }
 
     #[test]
     fn commutative_permutation_matches() {
         let d = parse_expr("sum(T[2,2], T[1,2])").unwrap();
-        let s = sum(vec![r(0, 1), r(1, 1)]);
+        let s = sum(&[r(0, 1), r(1, 1)]);
         assert!(expr_consistent(&d, &s));
     }
 
@@ -318,14 +321,14 @@ mod tests {
     fn commutative_full_arity_enforced() {
         // Complete sum with fewer args than provenance term must NOT match.
         let d = parse_expr("sum(T[1,2])").unwrap();
-        let s = sum(vec![r(0, 1), r(1, 1)]);
+        let s = sum(&[r(0, 1), r(1, 1)]);
         assert!(!expr_consistent(&d, &s));
     }
 
     #[test]
     fn partial_sum_subset_matches() {
         let d = parse_expr("sum(T[1,2], ..., T[4,2])").unwrap();
-        let s = sum(vec![r(0, 1), r(1, 1), r(2, 1), r(3, 1)]);
+        let s = sum(&[r(0, 1), r(1, 1), r(2, 1), r(3, 1)]);
         assert!(expr_consistent(&d, &s));
         // ...but the provided values must all appear.
         let d2 = parse_expr("sum(T[1,2], ..., T[9,2])").unwrap();
@@ -336,9 +339,9 @@ mod tests {
     fn injective_matching_no_double_use() {
         // Demo lists T[1,2] twice; provenance term has only one copy.
         let d = parse_expr("sum(T[1,2], T[1,2], ...)").unwrap();
-        let s = sum(vec![r(0, 1), r(1, 1)]);
+        let s = sum(&[r(0, 1), r(1, 1)]);
         assert!(!expr_consistent(&d, &s));
-        let s2 = sum(vec![r(0, 1), r(0, 1)]);
+        let s2 = sum(&[r(0, 1), r(0, 1)]);
         assert!(expr_consistent(&d, &s2));
     }
 
@@ -346,8 +349,8 @@ mod tests {
     fn noncommutative_positional() {
         // div(a, b) must not match div(b, a).
         let d = parse_expr("T[1,1] / T[1,2]").unwrap();
-        let ok = Expr::apply(FuncName::Op(ArithOp::Div), vec![r(0, 0), r(0, 1)]);
-        let swapped = Expr::apply(FuncName::Op(ArithOp::Div), vec![r(0, 1), r(0, 0)]);
+        let ok = Expr::apply(FuncName::Op(ArithOp::Div), &[r(0, 0), r(0, 1)]);
+        let swapped = Expr::apply(FuncName::Op(ArithOp::Div), &[r(0, 1), r(0, 0)]);
         assert!(expr_consistent(&d, &ok));
         assert!(!expr_consistent(&d, &swapped));
     }
@@ -359,13 +362,10 @@ mod tests {
         let d = parse_expr("sum(T[1,4], T[2,4]) / T[1,5] * 100").unwrap();
         let star = Expr::apply(
             FuncName::Op(ArithOp::Mul),
-            vec![
+            &[
                 Expr::apply(
                     FuncName::Op(ArithOp::Div),
-                    vec![
-                        sum(vec![r(0, 3), r(1, 3)]),
-                        Expr::group(vec![r(0, 4), r(1, 4)]),
-                    ],
+                    &[sum(&[r(0, 3), r(1, 3)]), Expr::group(&[r(0, 4), r(1, 4)])],
                 ),
                 Expr::Const(Value::Int(100)),
             ],
@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn different_functions_never_match() {
         let d = parse_expr("avg(T[1,2], T[2,2])").unwrap();
-        let s = sum(vec![r(0, 1), r(1, 1)]);
+        let s = sum(&[r(0, 1), r(1, 1)]);
         assert!(!expr_consistent(&d, &s));
     }
 
@@ -384,7 +384,7 @@ mod tests {
     fn omission_in_middle_of_ordered_function() {
         // rank is non-commutative; demo omits middle peers.
         let d = parse_expr("rank(T[1,2], ..., T[4,2])").unwrap();
-        let s = Expr::Apply(FuncName::Rank, vec![r(0, 1), r(1, 1), r(2, 1), r(3, 1)]);
+        let s = Expr::Apply(FuncName::Rank, [r(0, 1), r(1, 1), r(2, 1), r(3, 1)].into());
         assert!(expr_consistent(&d, &s));
         // Order must be preserved: T[4,2] before T[1,2] fails.
         let d2 = parse_expr("rank(T[4,2], ..., T[1,2])").unwrap();
@@ -395,11 +395,8 @@ mod tests {
     fn table_level_consistency_running_shape() {
         // Star table: 2 rows x 2 cols; demo 1 row x 2 cols drawn from row 1.
         let star = Grid::from_rows(vec![
-            vec![
-                Expr::group(vec![r(0, 0), r(1, 0)]),
-                sum(vec![r(0, 1), r(1, 1)]),
-            ],
-            vec![Expr::group(vec![r(2, 0)]), sum(vec![r(2, 1)])],
+            vec![Expr::group(&[r(0, 0), r(1, 0)]), sum(&[r(0, 1), r(1, 1)])],
+            vec![Expr::group(&[r(2, 0)]), sum(&[r(2, 1)])],
         ])
         .unwrap();
         let demo = Demo::parse(&[&["T[2,1]", "sum(T[1,2], T[2,2])"]]).unwrap();
@@ -410,7 +407,7 @@ mod tests {
 
     #[test]
     fn table_level_consistency_rejects() {
-        let star = Grid::from_rows(vec![vec![sum(vec![r(0, 1)])]]).unwrap();
+        let star = Grid::from_rows(vec![vec![sum(&[r(0, 1)])]]).unwrap();
         let demo = Demo::parse(&[&["sum(T[1,2], T[2,2])"]]).unwrap();
         assert!(demo_consistent(&demo, &star).is_none());
     }
@@ -429,7 +426,7 @@ mod tests {
     #[test]
     fn subsequence_omissions_at_both_ends() {
         // rank is positional; star term lists rows 1..=5 of column 2.
-        let s = Expr::Apply(FuncName::Rank, (0..5).map(|i| r(i, 1)).collect::<Vec<_>>());
+        let s = Expr::Apply(FuncName::Rank, (0..5).map(|i| r(i, 1)).collect());
         // Omissions at head and tail around a middle subsequence.
         let d = parse_expr("rank(..., T[2,2], T[4,2], ...)").unwrap();
         assert!(expr_consistent(&d, &s));
@@ -452,10 +449,7 @@ mod tests {
     #[test]
     fn injective_matching_requires_augmenting_path() {
         // star: sum(group{T[1,2], T[2,2]}, group{T[1,2]})
-        let s = sum(vec![
-            Expr::group(vec![r(0, 1), r(1, 1)]),
-            Expr::group(vec![r(0, 1)]),
-        ]);
+        let s = sum(&[Expr::group(&[r(0, 1), r(1, 1)]), Expr::group(&[r(0, 1)])]);
         // demo arg T[1,2] fits both groups, T[2,2] only the first.
         let d = parse_expr("sum(T[1,2], T[2,2])").unwrap();
         assert!(expr_consistent(&d, &s));
@@ -470,16 +464,19 @@ mod tests {
     /// assume canonical input.
     #[test]
     fn nested_group_members_match_through_nesting() {
-        let nested = Expr::Group(vec![
-            Expr::Group(vec![r(0, 0), Expr::Group(vec![r(1, 0)])]),
-            r(2, 0),
-        ]);
+        let nested = Expr::Group(
+            [
+                Expr::Group([r(0, 0), Expr::Group([r(1, 0)].into())].into()),
+                r(2, 0),
+            ]
+            .into(),
+        );
         for (cell, expect) in [("T[2,1]", true), ("T[3,1]", true), ("T[4,1]", false)] {
             let d = parse_expr(cell).unwrap();
             assert_eq!(expr_consistent(&d, &nested), expect, "{cell}");
         }
         // A nested group as an aggregate argument behaves identically.
-        let s = sum(vec![Expr::Group(vec![Expr::Group(vec![r(0, 1)])]), r(2, 1)]);
+        let s = sum(&[Expr::Group([Expr::Group([r(0, 1)].into())].into()), r(2, 1)]);
         let d = parse_expr("sum(T[1,2], T[3,2])").unwrap();
         assert!(expr_consistent(&d, &s));
     }
@@ -507,15 +504,18 @@ mod tests {
                 (0..5).map(|i| r(i, 1)).collect(),
             )]])
             .unwrap(),
-            Grid::from_rows(vec![vec![sum(vec![
-                Expr::group(vec![r(0, 1), r(1, 1)]),
-                Expr::group(vec![r(0, 1)]),
+            Grid::from_rows(vec![vec![sum(&[
+                Expr::group(&[r(0, 1), r(1, 1)]),
+                Expr::group(&[r(0, 1)]),
             ])]])
             .unwrap(),
-            Grid::from_rows(vec![vec![Expr::Group(vec![
-                Expr::Group(vec![r(0, 0), Expr::Group(vec![r(1, 0)])]),
-                r(2, 0),
-            ])]])
+            Grid::from_rows(vec![vec![Expr::Group(
+                [
+                    Expr::Group([r(0, 0), Expr::Group([r(1, 0)].into())].into()),
+                    r(2, 0),
+                ]
+                .into(),
+            )]])
             .unwrap(),
         ];
         let demos = [

@@ -7,6 +7,7 @@
 //! `group{e…}` (Fig. 8, left).
 
 use std::fmt;
+use std::sync::Arc;
 
 use sickle_table::{AggFunc, ArithOp, Table, Value};
 
@@ -105,6 +106,16 @@ impl fmt::Display for FuncName {
 }
 
 /// A provenance expression `e★` (Fig. 8, left).
+///
+/// Compound payloads (the arguments of [`Expr::Apply`], the members of
+/// [`Expr::Group`]) are shared `Arc<[Expr]>` blocks, so cloning a term is
+/// O(1) whatever its size: an aggregate window hands every row of a
+/// partition the same `α(m₁, …, m_m)` block instead of a deep copy each.
+/// Sharing is invisible to the semantics — equality, hashing, [`Display`]
+/// and the Def. 1 matching all compare structurally (two separately built
+/// equal terms are `==` and hash alike).
+///
+/// [`Display`]: fmt::Display
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// A constant that does not originate from an input cell.
@@ -112,9 +123,9 @@ pub enum Expr {
     /// A reference to an input cell.
     Ref(CellRef),
     /// A function application `f(e₁, …, e_l)`.
-    Apply(FuncName, Vec<Expr>),
+    Apply(FuncName, Arc<[Expr]>),
     /// A grouping term `group{e₁, …, e_l}` produced by `group` key columns.
-    Group(Vec<Expr>),
+    Group(Arc<[Expr]>),
 }
 
 impl Expr {
@@ -122,32 +133,42 @@ impl Expr {
     /// for flattening functions (`sum`, `max`, `min`), nested applications of
     /// the same function are spliced into the parent; nested `group` terms
     /// flatten likewise via [`Expr::group`].
-    pub fn apply(f: FuncName, args: Vec<Expr>) -> Expr {
-        if f.flattens() {
-            let mut flat = Vec::with_capacity(args.len());
-            for a in args {
-                match a {
-                    Expr::Apply(g, inner) if g == f => flat.extend(inner),
-                    other => flat.push(other),
-                }
-            }
-            Expr::Apply(f, flat)
+    ///
+    /// Arguments are cloned (O(1) each) straight into one exactly-sized
+    /// payload block.
+    pub fn apply<'a>(
+        f: FuncName,
+        args: impl IntoIterator<Item = &'a Expr, IntoIter: Clone>,
+    ) -> Expr {
+        let payload = if f.flattens() {
+            spliced(args, |a| match a {
+                Expr::Apply(g, inner) if *g == f => Some(inner),
+                _ => None,
+            })
         } else {
-            Expr::Apply(f, args)
-        }
+            args.into_iter().cloned().collect()
+        };
+        Expr::Apply(f, payload)
     }
 
     /// Builds a `group{…}` term, flattening nested groups (all members of a
     /// group cell carry equal values, so nesting carries no information).
-    pub fn group(members: Vec<Expr>) -> Expr {
-        let mut flat = Vec::with_capacity(members.len());
-        for m in members {
-            match m {
-                Expr::Group(inner) => flat.extend(inner),
-                other => flat.push(other),
-            }
+    pub fn group<'a>(members: impl IntoIterator<Item = &'a Expr, IntoIter: Clone>) -> Expr {
+        Expr::Group(spliced(members, |m| match m {
+            Expr::Group(inner) => Some(inner),
+            _ => None,
+        }))
+    }
+
+    /// The shared payload block of a compound term (`None` for leaves).
+    /// Cells cloned from one term return the same block, so its address
+    /// identifies the term while a holder pins it.
+    pub fn payload(&self) -> Option<&Arc<[Expr]>> {
+        match self {
+            Expr::Const(_) | Expr::Ref(_) => None,
+            Expr::Apply(_, args) => Some(args),
+            Expr::Group(members) => Some(members),
         }
-        Expr::Group(flat)
     }
 
     /// Evaluates the expression to a concrete [`Value`] against the inputs
@@ -182,16 +203,18 @@ impl Expr {
     /// `ref(·)` for `e★`).
     pub fn refs(&self) -> Vec<CellRef> {
         let mut out = Vec::new();
-        self.collect_refs(&mut out);
+        self.for_each_ref(&mut |r| out.push(r));
         out
     }
 
-    fn collect_refs(&self, out: &mut Vec<CellRef>) {
+    /// Calls `f` on every [`CellRef`] mentioned in the expression, in the
+    /// order [`Expr::refs`] lists them, without collecting them.
+    pub fn for_each_ref(&self, f: &mut impl FnMut(CellRef)) {
         match self {
             Expr::Const(_) => {}
-            Expr::Ref(r) => out.push(*r),
-            Expr::Apply(_, args) => args.iter().for_each(|a| a.collect_refs(out)),
-            Expr::Group(ms) => ms.iter().for_each(|m| m.collect_refs(out)),
+            Expr::Ref(r) => f(*r),
+            Expr::Apply(_, args) => args.iter().for_each(|a| a.for_each_ref(f)),
+            Expr::Group(ms) => ms.iter().for_each(|m| m.for_each_ref(f)),
         }
     }
 
@@ -203,6 +226,28 @@ impl Expr {
             Expr::Group(ms) => 1 + ms.iter().map(Expr::size).sum::<usize>(),
         }
     }
+}
+
+/// Collects `items` into one payload block, replacing every item for which
+/// `inner` returns a block by that block's elements. The flat length is
+/// counted first, so the block is allocated once at its exact size (a
+/// counted `map` is trusted-length; a `flat_map` would go through a `Vec`).
+fn spliced<'a, I>(items: I, inner: impl Fn(&'a Expr) -> Option<&'a Arc<[Expr]>>) -> Arc<[Expr]>
+where
+    I: IntoIterator<Item = &'a Expr, IntoIter: Clone>,
+{
+    let items = items.into_iter();
+    let len = items
+        .clone()
+        .map(|e| inner(e).map_or(1, |block| block.len()))
+        .sum();
+    let mut flat = items.flat_map(|e| match inner(e) {
+        Some(block) => block.iter(),
+        None => std::slice::from_ref(e).iter(),
+    });
+    (0..len)
+        .map(|_| flat.next().expect("length counted above").clone())
+        .collect()
 }
 
 /// Rank of `vals[0]` among `vals[1..]` (1-based; `dense` controls gap
@@ -287,8 +332,8 @@ mod tests {
 
     #[test]
     fn flattening_sum_of_sums() {
-        let inner = Expr::apply(FuncName::Agg(AggFunc::Sum), vec![r(0, 1), r(1, 1)]);
-        let outer = Expr::apply(FuncName::Agg(AggFunc::Sum), vec![inner, r(2, 1)]);
+        let inner = Expr::apply(FuncName::Agg(AggFunc::Sum), &[r(0, 1), r(1, 1)]);
+        let outer = Expr::apply(FuncName::Agg(AggFunc::Sum), &[inner, r(2, 1)]);
         match &outer {
             Expr::Apply(_, args) => assert_eq!(args.len(), 3),
             other => panic!("expected Apply, got {other:?}"),
@@ -298,8 +343,8 @@ mod tests {
 
     #[test]
     fn avg_does_not_flatten() {
-        let inner = Expr::apply(FuncName::Agg(AggFunc::Avg), vec![r(0, 1), r(1, 1)]);
-        let outer = Expr::apply(FuncName::Agg(AggFunc::Avg), vec![inner.clone(), r(2, 1)]);
+        let inner = Expr::apply(FuncName::Agg(AggFunc::Avg), &[r(0, 1), r(1, 1)]);
+        let outer = Expr::apply(FuncName::Agg(AggFunc::Avg), &[inner.clone(), r(2, 1)]);
         match &outer {
             Expr::Apply(_, args) => {
                 assert_eq!(args.len(), 2);
@@ -313,7 +358,7 @@ mod tests {
 
     #[test]
     fn group_flattens_and_evaluates_to_member() {
-        let g = Expr::group(vec![Expr::group(vec![r(0, 0)]), r(1, 0)]);
+        let g = Expr::group(&[Expr::group(&[r(0, 0)]), r(1, 0)]);
         match &g {
             Expr::Group(ms) => assert_eq!(ms.len(), 2),
             other => panic!("expected Group, got {other:?}"),
@@ -324,7 +369,7 @@ mod tests {
     #[test]
     fn rank_term_evaluates() {
         // own = 20, peers = {10, 20, 5} -> rank 3
-        let e = Expr::Apply(FuncName::Rank, vec![r(1, 1), r(0, 1), r(1, 1), r(2, 1)]);
+        let e = Expr::Apply(FuncName::Rank, [r(1, 1), r(0, 1), r(1, 1), r(2, 1)].into());
         assert_eq!(e.eval(&[input()]), Value::Int(3));
     }
 
@@ -332,8 +377,8 @@ mod tests {
     fn refs_collects_all() {
         let e = Expr::apply(
             FuncName::Op(ArithOp::Div),
-            vec![
-                Expr::apply(FuncName::Agg(AggFunc::Sum), vec![r(0, 1), r(1, 1)]),
+            &[
+                Expr::apply(FuncName::Agg(AggFunc::Sum), &[r(0, 1), r(1, 1)]),
                 r(0, 0),
             ],
         );
@@ -346,11 +391,11 @@ mod tests {
     fn display_matches_paper_notation() {
         let e = Expr::apply(
             FuncName::Op(ArithOp::Mul),
-            vec![
+            &[
                 Expr::apply(
                     FuncName::Op(ArithOp::Div),
-                    vec![
-                        Expr::apply(FuncName::Agg(AggFunc::Sum), vec![r(0, 3), r(1, 3)]),
+                    &[
+                        Expr::apply(FuncName::Agg(AggFunc::Sum), &[r(0, 3), r(1, 3)]),
                         r(0, 4),
                     ],
                 ),
@@ -368,7 +413,7 @@ mod tests {
 
     #[test]
     fn expr_size() {
-        let e = Expr::apply(FuncName::Agg(AggFunc::Sum), vec![r(0, 1), r(1, 1)]);
+        let e = Expr::apply(FuncName::Agg(AggFunc::Sum), &[r(0, 1), r(1, 1)]);
         assert_eq!(e.size(), 3);
     }
 }

@@ -38,7 +38,7 @@
 //! // The candidate query aggregates rows 1–8 of column 4.
 //! let star = Expr::apply(
 //!     FuncName::Agg(AggFunc::Sum),
-//!     (0..8).map(|r| Expr::Ref(CellRef::new(0, r, 3))).collect(),
+//!     &(0..8).map(|r| Expr::Ref(CellRef::new(0, r, 3))).collect::<Vec<_>>(),
 //! );
 //! assert!(expr_consistent(&demo, &star));
 //! # Ok::<(), sickle_provenance::ParseError>(())

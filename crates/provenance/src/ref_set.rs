@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use sickle_table::Table;
 
-use crate::expr::CellRef;
+use crate::expr::{CellRef, Expr};
 
 /// Dimensions and starting bit offset of one input table, packed into a
 /// single slot so [`RefUniverse::index`] resolves a reference with one
@@ -115,23 +115,50 @@ impl RefUniverse {
     /// references are ignored (they can never be satisfied anyway and the
     /// caller detects that via subset checks against non-full sets).
     pub fn set_from<I: IntoIterator<Item = CellRef>>(&self, refs: I) -> RefSet {
-        if self.n_bits <= 64 * INLINE_WORDS {
+        self.set_by(|bits| refs.into_iter().for_each(|r| bits.add(r)))
+    }
+
+    /// `ref(e)`: the set of every reference in a provenance term, walked in
+    /// place ([`Expr::for_each_ref`]) — equal to
+    /// `self.set_from(e.refs())` without the intermediate `Vec`.
+    pub fn set_of(&self, e: &Expr) -> RefSet {
+        self.set_by(|bits| e.for_each_ref(&mut |r| bits.add(r)))
+    }
+
+    fn set_by(&self, visit: impl FnOnce(&mut SetBits<'_>)) -> RefSet {
+        let mut bits = if self.n_bits <= 64 * INLINE_WORDS {
             // Small universe: stays inline, no allocation at all.
-            let mut s = RefSet::empty();
-            for r in refs {
-                s.insert(self, r);
-            }
-            return s;
+            SetBits::Inline(self, RefSet::empty())
+        } else {
+            // Large universe: build at full width once (insert-by-insert
+            // growth would realloc repeatedly), canonicalize at the end.
+            SetBits::Wide(self, vec![0u64; self.n_bits.div_ceil(64)])
+        };
+        visit(&mut bits);
+        match bits {
+            SetBits::Inline(_, s) => s,
+            SetBits::Wide(_, words) => RefSet::from_words(words),
         }
-        // Large universe: build at full width once (insert-by-insert
-        // growth would realloc repeatedly), canonicalize at the end.
-        let mut words = vec![0u64; self.n_bits.div_ceil(64)];
-        for r in refs {
-            if let Some(bit) = self.index(r) {
-                words[bit / 64] |= 1 << (bit % 64);
+    }
+}
+
+/// A set under construction by [`RefUniverse::set_by`].
+enum SetBits<'u> {
+    Inline(&'u RefUniverse, RefSet),
+    Wide(&'u RefUniverse, Vec<u64>),
+}
+
+impl SetBits<'_> {
+    #[inline]
+    fn add(&mut self, r: CellRef) {
+        match self {
+            SetBits::Inline(u, s) => s.insert(u, r),
+            SetBits::Wide(u, words) => {
+                if let Some(bit) = u.index(r) {
+                    words[bit / 64] |= 1 << (bit % 64);
+                }
             }
         }
-        RefSet::from_words(words)
     }
 }
 

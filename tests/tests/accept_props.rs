@@ -57,9 +57,9 @@ fn random_star_expr(rng: &mut Rng, tables: &[Table], depth: usize) -> Expr {
         0 => Expr::Const(Value::Int(rng.gen_range(5) as i64)),
         1 | 2 => random_ref(rng, tables),
         3 => Expr::group(
-            (0..1 + rng.gen_range(3))
+            &(0..1 + rng.gen_range(3))
                 .map(|_| random_star_expr(rng, tables, depth - 1))
-                .collect(),
+                .collect::<Vec<_>>(),
         ),
         4 => {
             let func = match rng.gen_range(3) {
@@ -69,9 +69,9 @@ fn random_star_expr(rng: &mut Rng, tables: &[Table], depth: usize) -> Expr {
             };
             Expr::apply(
                 func,
-                (0..1 + rng.gen_range(4))
+                &(0..1 + rng.gen_range(4))
                     .map(|_| random_star_expr(rng, tables, depth - 1))
-                    .collect(),
+                    .collect::<Vec<_>>(),
             )
         }
         _ => Expr::apply(
@@ -80,7 +80,7 @@ fn random_star_expr(rng: &mut Rng, tables: &[Table], depth: usize) -> Expr {
             } else {
                 ArithOp::Add
             }),
-            vec![
+            &[
                 random_star_expr(rng, tables, depth - 1),
                 random_star_expr(rng, tables, depth - 1),
             ],

@@ -13,10 +13,12 @@
 //!   by the `≺` rules (truncation and permutation preserve consistency);
 //! * surface syntax round-trips through the parser.
 
+use std::sync::Arc;
+
 use sickle_benchmarks::{all_benchmarks, demo_expr_of, rng::Rng};
 use sickle_core::{
     abstract_consistent, abstract_evaluate, concretize, demo_ref_sets, evaluate, prov_evaluate,
-    AbsTable, AnalysisEngine, EvalCache, PQuery, Pred, Query,
+    AbsTable, AnalysisEngine, Engine, EvalCache, PQuery, Pred, Query,
 };
 use sickle_provenance::{expr_consistent, parse_expr, Demo, RefUniverse};
 use sickle_table::{AggFunc, AnalyticFunc, ArithExpr, ArithOp, CmpOp, Grid, Table, Value};
@@ -247,6 +249,69 @@ fn engine_sets_channel_matches_star_refs() {
         let from_star = exec.star().map(|e| universe.set_from(e.refs()));
         assert_eq!(*exec.sets(&universe), from_star, "seed {seed}: query {q}");
     }
+}
+
+/// A table of 33–40 rows × 4 columns (> 128 cells), so its reference
+/// sets take the wide (heap-word) representation.
+fn random_tall_table(rng: &mut Rng) -> Table {
+    let n_rows = 33 + rng.gen_range(8);
+    let rows = (0..n_rows)
+        .map(|_| (0..4).map(|_| random_value(rng)).collect())
+        .collect();
+    Table::from_grid(Grid::from_rows(rows).expect("rectangular"))
+}
+
+/// The engine converts star terms to sets once per shared payload block
+/// (aggregate windows broadcast one term per partition). Over random
+/// group/partition/arith queries, on inline-width and wide universes,
+/// both the whole-grid channel and per-cell probes of a fresh result
+/// must equal the naive per-cell `set_from(e.refs())`.
+#[test]
+fn shared_term_sets_equal_naive_refs() {
+    let mut shared_cells = 0;
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(seed);
+        let t = if seed % 2 == 0 {
+            random_table(&mut rng)
+        } else {
+            random_tall_table(&mut rng)
+        };
+        let q = random_query(&mut rng, 3);
+        let inputs = [t];
+        let universe = RefUniverse::from_tables(&inputs);
+        let engine = AnalysisEngine {
+            universe: &universe,
+        };
+        let Ok(whole) = engine.exec(&q, &inputs) else {
+            continue;
+        };
+        let naive = whole.star().map(|e| universe.set_from(e.refs()));
+        let (rows, cols) = (naive.n_rows(), naive.n_cols());
+        let mut cells: Vec<(usize, usize)> = (0..rows)
+            .flat_map(|i| (0..cols).map(move |j| (i, j)))
+            .collect();
+        shared_cells += cells
+            .iter()
+            .filter(|&&c| {
+                whole.star()[c]
+                    .payload()
+                    .is_some_and(|b| Arc::strong_count(b) > 1)
+            })
+            .count();
+        // Per-cell probes first, in a scrambled order, on a result whose
+        // whole-grid channel was never derived.
+        let probed = engine.exec(&q, &inputs).expect("evaluated above");
+        rng.shuffle(&mut cells);
+        for (i, j) in cells {
+            assert_eq!(
+                *probed.cell_set(&universe, i, j),
+                naive[(i, j)],
+                "seed {seed}: query {q} cell ({i}, {j})"
+            );
+        }
+        assert_eq!(*whole.sets(&universe), naive, "seed {seed}: query {q}");
+    }
+    assert!(shared_cells > 0, "no query produced a shared term");
 }
 
 /// Demonstrations generated from provenance cells are accepted by ≺:
