@@ -1,7 +1,7 @@
-//! Data-scale micro-benchmarks of the engine's bulk kernels: the hash
-//! equi-join vs the legacy cross-product loop, and the vectorized
-//! (single-hashed-pass, indexed-accumulate) group/window kernels vs the
-//! row-at-a-time gather path they replaced.
+//! Data-scale micro-benchmarks of the engine's bulk kernels: the fused
+//! hash equi-join vs a nested pair loop over the cross product, and the
+//! vectorized (single-hashed-pass, indexed-accumulate) group/window
+//! kernels vs the row-at-a-time gather path they replaced.
 //!
 //! Inputs are the suite's kind of tables scaled to 10^4–10^6 rows by
 //! seeded bootstrap sampling with a controlled join-key cardinality
@@ -17,15 +17,14 @@
 //! cargo bench -p sickle-bench --bench scale [-- --quick]
 //! ```
 //!
-//! Knobs: `SICKLE_SCALE_ROWS=10000,100000` overrides the row-scale list;
-//! `SICKLE_CHUNK_ROWS` sets the engine's morsel size (default 4096).
+//! Knob: `SICKLE_SCALE_ROWS=10000,100000` overrides the row-scale list.
 //! The run writes `BENCH_scale.json` for CI artifacts.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use sickle_benchmarks::{scale_table_keyed, Rng};
-use sickle_core::{exec_filtered_join_strategy, exec_step, JoinStrategy, Pred, Query, Semantics};
+use sickle_core::{exec, Pred, Query, Semantics};
 use sickle_table::{gather_column, AggFunc, AnalyticFunc, CmpOp, Table, Value};
 
 fn main() {
@@ -107,6 +106,37 @@ fn legacy_group_rows(t: &Table, keys: &[usize]) -> Vec<Vec<usize>> {
     groups
 }
 
+/// `filter(join(l, r), pred)` by the nested pair loop the hash join
+/// replaced: every (lrow, rrow) pair is tested against the whole predicate
+/// and the matches are gathered lrow-major — O(|L|·|R|).
+fn legacy_filtered_join(l: &Table, r: &Table, pred: &Pred) -> Table {
+    let ln = l.n_cols();
+    let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
+    for lrow in 0..l.n_rows() {
+        for rrow in 0..r.n_rows() {
+            let cell = |c: usize| {
+                if c < ln {
+                    &l.column(c)[lrow]
+                } else {
+                    &r.column(c - ln)[rrow]
+                }
+            };
+            if pred.eval_with(&cell) {
+                lsel.push(lrow);
+                rsel.push(rrow);
+            }
+        }
+    }
+    let mut names = l.names().to_vec();
+    names.extend(r.names().iter().cloned());
+    Table::from_named_grid(
+        names,
+        l.grid()
+            .select_rows(&lsel)
+            .hcat(&r.grid().select_rows(&rsel)),
+    )
+}
+
 struct JoinRow {
     name: String,
     rows_left: usize,
@@ -130,13 +160,8 @@ fn speedup(a: Duration, b: Duration) -> f64 {
 #[allow(clippy::too_many_lines)]
 fn run() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let chunk_rows = std::env::var("SICKLE_CHUNK_ROWS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(4096);
     println!(
-        "scale micro-benchmarks (best of N{}, chunk {chunk_rows}, debug assertions {})",
+        "scale micro-benchmarks (best of N{}, debug assertions {})",
         if quick { ", --quick" } else { "" },
         if cfg!(debug_assertions) {
             "ON — use --release"
@@ -160,10 +185,6 @@ fn run() {
         let left = scale_table_keyed(&base_orders(), n, 0, card, 11);
         let right = scale_table_keyed(&base_dims(), r_rows, 0, card, 13);
         let inputs = vec![left, right];
-        let le =
-            exec_step(Semantics::Values, &Query::Input(0), &[], &inputs).expect("input 0 executes");
-        let re =
-            exec_step(Semantics::Values, &Query::Input(1), &[], &inputs).expect("input 1 executes");
         let l_cols = inputs[0].n_cols();
 
         // Scenario 1: pure equi-join `L.key = R.key`.
@@ -175,29 +196,28 @@ fn run() {
             Box::new(Pred::ColConst(1, CmpOp::Lt, Value::Int(26))),
         );
         for (label, pred) in [("equi", &equi), ("equi+residual", &residual)] {
-            let hash_out = exec_filtered_join_strategy(&le, &re, pred, JoinStrategy::Auto)
-                .expect("hash join executes");
+            let q = Query::Filter {
+                src: Box::new(Query::Join {
+                    left: Box::new(Query::Input(0)),
+                    right: Box::new(Query::Input(1)),
+                }),
+                pred: pred.clone(),
+            };
+            let hash_out = exec(Semantics::Values, &q, &inputs).expect("hash join executes");
             let pairs = (inputs[0].n_rows() as u64) * (inputs[1].n_rows() as u64);
             let ab = pairs <= MAX_CROSS_PAIRS;
             if ab {
-                let cross_out =
-                    exec_filtered_join_strategy(&le, &re, pred, JoinStrategy::CrossLoop)
-                        .expect("cross join executes");
                 assert_eq!(
-                    hash_out.table(),
-                    cross_out.table(),
+                    *hash_out.table(),
+                    legacy_filtered_join(&inputs[0], &inputs[1], pred),
                     "hash-vs-cross verdict diverged on {label} at {n} rows"
                 );
             }
             let iters = if quick { 2 } else { 3 };
-            let hash = time_best(iters, || {
-                exec_filtered_join_strategy(&le, &re, pred, JoinStrategy::Auto).unwrap()
-            });
+            let hash = time_best(iters, || exec(Semantics::Values, &q, &inputs).unwrap());
             let cross = ab.then(|| {
                 let ci = if pairs > 20_000_000 { 1 } else { iters };
-                time_best(ci, || {
-                    exec_filtered_join_strategy(&le, &re, pred, JoinStrategy::CrossLoop).unwrap()
-                })
+                time_best(ci, || legacy_filtered_join(&inputs[0], &inputs[1], pred))
             });
             let row = JoinRow {
                 name: format!("join/{label}/{n}"),
@@ -342,10 +362,8 @@ fn run() {
     }
 
     // BENCH_scale.json.
-    let mut out = String::from("{\n  \"schema\": \"sickle-bench/scale/v1\",\n");
-    out.push_str(&format!(
-        "  \"quick\": {quick},\n  \"chunk_rows\": {chunk_rows},\n  \"joins\": [\n"
-    ));
+    let mut out = String::from("{\n  \"schema\": \"sickle-bench/scale/v2\",\n");
+    out.push_str(&format!("  \"quick\": {quick},\n  \"joins\": [\n"));
     for (i, r) in joins.iter().enumerate() {
         let processed = (r.rows_left + r.rows_right + r.out_rows) as f64;
         out.push_str(&format!(

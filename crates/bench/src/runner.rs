@@ -89,7 +89,7 @@ pub struct HarnessConfig {
     pub only: Vec<usize>,
     /// Worker threads for skeleton expansion (1 = sequential search).
     pub workers: usize,
-    /// Engine-cache eviction policy for every run.
+    /// The engine-cache eviction policy for every run.
     pub cache: CachePolicy,
 }
 

@@ -19,20 +19,24 @@
 //!   pipelines that never reach the abstract analysis pay nothing for
 //!   them.
 //!
-//! [`Engine`] is the trait over the pipeline; [`ConcreteEngine`],
-//! [`ProvenanceEngine`] and [`AnalysisEngine`] are its three
-//! instantiations, backing `evaluate`, `prov_evaluate` and the concrete
-//! leaves of `abstract_evaluate` respectively. [`EvalCache`] memoizes
-//! engine results keyed by `(query, semantics)` so skeleton refinement
-//! reuses inner-subquery evaluations across sibling expansions.
+//! Each operator has one kernel, with two callers: [`exec`], a plain
+//! recursive walk backing `evaluate` and `prov_evaluate`, and
+//! [`EvalCache::exec`], which memoizes results keyed by
+//! `(query, semantics)` so skeleton refinement reuses inner-subquery
+//! evaluations across sibling expansions (and backs the concrete leaves of
+//! `abstract_evaluate`). The `group` and `partition` kernels take their row
+//! partition (and `group` its key columns) from the caller: the walker
+//! computes them fresh, the cache hands in memoized ones shared by every
+//! sibling candidate over the same child and keys.
 //!
-//! The pipeline also fuses `filter ∘ join`: the cross product is never
-//! materialized — a selection-vector pair is built from the predicate and
+//! Both callers fuse `filter ∘ join`: the cross product is never
+//! materialized — a selection-vector pair is built from the predicate
+//! (by hash on its equi keys, or by a nested loop when it has none) and
 //! each surviving column is gathered once.
 
 use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use sickle_table::{
@@ -227,104 +231,28 @@ impl ExecTable {
     }
 }
 
-/// An execution engine: one of the three semantics of the paper, as an
-/// instantiation of the shared columnar operator pipeline.
-pub trait Engine {
-    /// Which channels this engine fills.
-    fn semantics(&self) -> Semantics;
-
-    /// Evaluates a whole query tree (recursively, with `filter ∘ join`
-    /// fusion).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvalError`] when the query references missing inputs or
-    /// out-of-range columns.
-    fn exec(&self, q: &Query, inputs: &[Table]) -> Result<ExecTable, EvalError> {
-        let sem = self.semantics();
-        if let Some((left, right, pred)) = fused_filter_join(q) {
-            let l = self.exec(left, inputs)?;
-            let r = self.exec(right, inputs)?;
-            return exec_filtered_join(&l, &r, pred);
-        }
-        let children = q
-            .children()
-            .into_iter()
-            .map(|c| self.exec(c, inputs))
-            .collect::<Result<Vec<_>, _>>()?;
-        let child_refs: Vec<&ExecTable> = children.iter().collect();
-        exec_step(sem, q, &child_refs, inputs)
+/// Evaluates a whole query tree at `sem` by a plain recursive walk, with
+/// `filter ∘ join` fused and nothing memoized — the engine behind
+/// [`crate::evaluate`] and [`crate::prov_evaluate`]. [`EvalCache::exec`]
+/// is the memoizing caller of the same operator kernels.
+///
+/// # Errors
+///
+/// Returns [`EvalError`] when the query references missing inputs or
+/// out-of-range columns.
+pub fn exec(sem: Semantics, q: &Query, inputs: &[Table]) -> Result<ExecTable, EvalError> {
+    if let Some((left, right, pred)) = fused_filter_join(q) {
+        let l = exec(sem, left, inputs)?;
+        let r = exec(sem, right, inputs)?;
+        return exec_filtered_join(&l, &r, pred, &mut ExecScratch::default());
     }
-
-    /// Applies the rule of `q`'s *top* operator, given the already-evaluated
-    /// results of its children (empty for `Input`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvalError`] for out-of-range table/column references.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `children` does not match the operator's arity.
-    fn exec_step(
-        &self,
-        q: &Query,
-        children: &[&ExecTable],
-        inputs: &[Table],
-    ) -> Result<ExecTable, EvalError> {
-        exec_step(self.semantics(), q, children, inputs)
-    }
-}
-
-/// The standard semantics `[[q]]`: concrete values only.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ConcreteEngine;
-
-impl Engine for ConcreteEngine {
-    fn semantics(&self) -> Semantics {
-        Semantics::Values
-    }
-}
-
-/// The provenance-tracking semantics `[[q]]★` (Fig. 9): values plus
-/// provenance terms.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProvenanceEngine;
-
-impl Engine for ProvenanceEngine {
-    fn semantics(&self) -> Semantics {
-        Semantics::Provenance
-    }
-}
-
-/// The analysis semantics: the precise leaves of the abstract evaluation
-/// (Fig. 11). Runs the pipeline with the star channel enabled; per-cell
-/// reference bitsets are then derived through
-/// [`ExecTable::sets`]`(universe)`.
-#[derive(Debug, Clone, Copy)]
-pub struct AnalysisEngine<'u> {
-    /// The reference universe of the task's input tables.
-    pub universe: &'u RefUniverse,
-}
-
-impl<'u> AnalysisEngine<'u> {
-    /// Evaluates `q` and returns the result together with its materialized
-    /// reference sets.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvalError`] as [`Engine::exec`] does.
-    pub fn exec_with_sets(&self, q: &Query, inputs: &[Table]) -> Result<ExecTable, EvalError> {
-        let out = self.exec(q, inputs)?;
-        out.sets(self.universe);
-        Ok(out)
-    }
-}
-
-impl<'u> Engine for AnalysisEngine<'u> {
-    fn semantics(&self) -> Semantics {
-        Semantics::Provenance
-    }
+    let children = q
+        .children()
+        .into_iter()
+        .map(|c| exec(sem, c, inputs))
+        .collect::<Result<Vec<_>, _>>()?;
+    let child_refs: Vec<&ExecTable> = children.iter().collect();
+    exec_step(sem, q, &child_refs, inputs)
 }
 
 // ---------------------------------------------------------------------------
@@ -342,7 +270,17 @@ fn fused_filter_join(q: &Query) -> Option<(&Query, &Query, &Pred)> {
     None
 }
 
-/// One-operator step of the shared pipeline.
+/// Applies the rule of `q`'s *top* operator to the already-evaluated
+/// results of its children (empty for `Input`), computing any row
+/// partition fresh.
+///
+/// # Errors
+///
+/// Returns [`EvalError`] for out-of-range table/column references.
+///
+/// # Panics
+///
+/// Panics if `children` does not match the operator's arity.
 pub fn exec_step(
     sem: Semantics,
     q: &Query,
@@ -351,17 +289,28 @@ pub fn exec_step(
 ) -> Result<ExecTable, EvalError> {
     match q {
         Query::Input(k) => exec_input(sem, *k, inputs),
-        Query::Filter { pred, .. } => exec_filter(children[0], pred),
+        Query::Filter { pred, .. } => exec_filter(children[0], pred, &mut Vec::new()),
         Query::Join { .. } => Ok(exec_join(children[0], children[1])),
         Query::LeftJoin { pred, .. } => exec_left_join(sem, children[0], children[1], pred),
         Query::Proj { cols, .. } => exec_proj(children[0], cols),
         Query::Sort { cols, asc, .. } => exec_sort(children[0], cols, *asc),
         Query::Group {
             keys, agg, target, ..
-        } => exec_group(sem, children[0], keys, *agg, *target),
+        } => {
+            let src = children[0];
+            check_keyed(src, keys, *target, "group")?;
+            let groups = group_rows_by_keys(src.values.grid(), keys);
+            let key_cols = group_keys(sem, src, keys, &groups);
+            Ok(exec_group(sem, src, keys, &groups, key_cols, *agg, *target))
+        }
         Query::Partition {
             keys, func, target, ..
-        } => exec_partition(sem, children[0], keys, *func, *target),
+        } => {
+            let src = children[0];
+            check_keyed(src, keys, *target, "partition")?;
+            let groups = group_rows_by_keys(src.values.grid(), keys);
+            Ok(exec_partition(sem, src, keys, &groups, *func, *target))
+        }
         Query::Arith { func, cols, .. } => exec_arith(children[0], func, cols),
     }
 }
@@ -442,15 +391,10 @@ fn select_rows(src: &ExecTable, sel: &[usize], names: Vec<String>) -> ExecTable 
     )
 }
 
-fn exec_filter(src: &ExecTable, pred: &Pred) -> Result<ExecTable, EvalError> {
-    let mut keep = Vec::new();
-    exec_filter_with(src, pred, &mut keep)
-}
-
-/// `filter` over morsel-sized row chunks, writing the surviving row
-/// indices into a caller-pooled buffer (cleared here) so per-candidate
-/// allocation amortizes across the search.
-fn exec_filter_with(
+/// `filter`, writing the surviving row indices into a caller-pooled
+/// buffer (cleared here) so per-candidate allocation amortizes across the
+/// search.
+fn exec_filter(
     src: &ExecTable,
     pred: &Pred,
     keep: &mut Vec<usize>,
@@ -458,11 +402,7 @@ fn exec_filter_with(
     check_pred(pred, src.values.n_cols(), "filter")?;
     let grid = src.values.grid();
     keep.clear();
-    let chunk = chunk_rows();
-    for start in (0..grid.n_rows()).step_by(chunk) {
-        let end = (start + chunk).min(grid.n_rows());
-        keep.extend((start..end).filter(|&r| pred_holds(pred, &RowAccess::One(grid, r))));
-    }
+    keep.extend((0..grid.n_rows()).filter(|&r| pred_holds(pred, &RowAccess::One(grid, r))));
     Ok(select_rows(src, keep, src.values.names().to_vec()))
 }
 
@@ -495,21 +435,7 @@ fn exec_join(l: &ExecTable, r: &ExecTable) -> ExecTable {
     gather_join(l, r, &lsel, &rsel)
 }
 
-/// Join execution strategy of the fused `filter ∘ join` path — the A/B
-/// seam of the `scale` bench.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinStrategy {
-    /// Extract equi-join keys from the predicate and hash-join on them,
-    /// falling back to the nested cross loop only when no conjunct is a
-    /// cross-side equality (the production default).
-    #[default]
-    Auto,
-    /// Force the legacy O(|L|·|R|) nested loop (the pre-hash-join engine,
-    /// kept as the A/B baseline).
-    CrossLoop,
-}
-
-/// Reusable scratch of the chunked filter/join execution paths: selection
+/// Reusable scratch of the filter/join execution paths: selection
 /// vectors and key buffers, pooled in [`EvalCache`] so per-candidate
 /// allocation amortizes across the search instead of scaling with row
 /// count (buffers are cleared between uses, never shrunk).
@@ -519,21 +445,6 @@ struct ExecScratch {
     rsel: Vec<usize>,
     keep: Vec<usize>,
     probe: Vec<ValueKey>,
-}
-
-/// Default morsel size of the chunked row loops (filter and hash-probe).
-const DEFAULT_CHUNK_ROWS: usize = 4096;
-
-/// Rows per morsel, overridable with `SICKLE_CHUNK_ROWS` (read once).
-fn chunk_rows() -> usize {
-    static CHUNK: OnceLock<usize> = OnceLock::new();
-    *CHUNK.get_or_init(|| {
-        std::env::var("SICKLE_CHUNK_ROWS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_CHUNK_ROWS)
-    })
 }
 
 /// Splits a join predicate into hash-joinable equi keys and residual
@@ -571,11 +482,10 @@ fn split_equi_pred(pred: &Pred, left_cols: usize) -> (Vec<(usize, usize)>, Vec<&
 
 /// Hash join on extracted equi keys: builds a hash table over the interned
 /// key values of the *right* (build) side, probes with the left rows in
-/// morsel-sized chunks, and evaluates residual conjuncts on hash matches
-/// only. Match lists hold right rows in ascending order and the probe walks
-/// left rows in order, so the emitted (lrow, rrow) pairs are exactly the
-/// legacy nested loop's lrow-major sequence — the gathered output is
-/// byte-identical (values and star) to the cross-product path.
+/// order, and evaluates residual conjuncts on hash matches only. Match
+/// lists hold right rows in ascending order, so the emitted (lrow, rrow)
+/// pairs are exactly the nested loop's lrow-major sequence — the gathered
+/// output is byte-identical (values and star) to the cross-product path.
 fn exec_hash_join(
     l: &ExecTable,
     r: &ExecTable,
@@ -601,24 +511,18 @@ fn exec_hash_join(
             residual.iter().all(|p| pred_holds(p, &row))
         }
     };
-    let chunk = chunk_rows();
     if let [(lc, rc)] = keys {
         // Single-key fast path: the interned key itself is the hash key.
         let mut build: FxMap<ValueKey, Vec<usize>> = FxMap::default();
         for (rrow, v) in rg.column(*rc).iter().enumerate() {
             build.entry(interner.key(v)).or_default().push(rrow);
         }
-        let lcol = lg.column(*lc);
-        for start in (0..lcol.len()).step_by(chunk) {
-            let end = (start + chunk).min(lcol.len());
-            for (off, v) in lcol[start..end].iter().enumerate() {
-                let lrow = start + off;
-                if let Some(rows) = build.get(&interner.key(v)) {
-                    for &rrow in rows {
-                        if residual_holds(lrow, rrow) {
-                            lsel.push(lrow);
-                            rsel.push(rrow);
-                        }
+        for (lrow, v) in lg.column(*lc).iter().enumerate() {
+            if let Some(rows) = build.get(&interner.key(v)) {
+                for &rrow in rows {
+                    if residual_holds(lrow, rrow) {
+                        lsel.push(lrow);
+                        rsel.push(rrow);
                     }
                 }
             }
@@ -637,17 +541,14 @@ fn exec_hash_join(
             }
         }
         let lcols: Vec<&[Value]> = keys.iter().map(|&(lc, _)| lg.column(lc)).collect();
-        for start in (0..lg.n_rows()).step_by(chunk) {
-            let end = (start + chunk).min(lg.n_rows());
-            for lrow in start..end {
-                probe.clear();
-                probe.extend(lcols.iter().map(|col| interner.key(&col[lrow])));
-                if let Some(rows) = build.get(probe.as_slice()) {
-                    for &rrow in rows {
-                        if residual_holds(lrow, rrow) {
-                            lsel.push(lrow);
-                            rsel.push(rrow);
-                        }
+        for lrow in 0..lg.n_rows() {
+            probe.clear();
+            probe.extend(lcols.iter().map(|col| interner.key(&col[lrow])));
+            if let Some(rows) = build.get(probe.as_slice()) {
+                for &rrow in rows {
+                    if residual_holds(lrow, rrow) {
+                        lsel.push(lrow);
+                        rsel.push(rrow);
                     }
                 }
             }
@@ -656,10 +557,9 @@ fn exec_hash_join(
     gather_join(l, r, lsel, rsel)
 }
 
-/// The legacy `filter(join(l, r), p)` pair loop: every (lrow, rrow) pair is
-/// tested against the full predicate. O(|L|·|R|) — kept as the fallback for
-/// genuinely non-equi predicates and as the A/B baseline of the scale
-/// bench.
+/// The `filter(join(l, r), p)` pair loop: every (lrow, rrow) pair is
+/// tested against the full predicate. O(|L|·|R|) — the fallback for
+/// predicates with no equi key.
 fn exec_cross_loop(
     l: &ExecTable,
     r: &ExecTable,
@@ -687,52 +587,22 @@ fn exec_cross_loop(
     gather_join(l, r, lsel, rsel)
 }
 
-/// `filter(join(l, r), p)` without materializing the cross product,
-/// returning whether the hash path ran. Routes through [`exec_hash_join`]
-/// when the predicate has at least one cross-side equality conjunct (and
-/// the strategy allows it); otherwise the nested pair loop.
-fn exec_filtered_join_with(
+/// `filter(join(l, r), p)` without materializing the cross product:
+/// [`exec_hash_join`] when the predicate has at least one cross-side
+/// equality conjunct, otherwise the nested pair loop.
+fn exec_filtered_join(
     l: &ExecTable,
     r: &ExecTable,
     pred: &Pred,
-    strategy: JoinStrategy,
     scratch: &mut ExecScratch,
-) -> Result<(ExecTable, bool), EvalError> {
+) -> Result<ExecTable, EvalError> {
     check_pred(pred, l.values.n_cols() + r.values.n_cols(), "filter")?;
-    if strategy == JoinStrategy::CrossLoop {
-        return Ok((exec_cross_loop(l, r, pred, scratch), false));
-    }
     let (keys, residual) = split_equi_pred(pred, l.values.n_cols());
     if keys.is_empty() {
-        Ok((exec_cross_loop(l, r, pred, scratch), false))
+        Ok(exec_cross_loop(l, r, pred, scratch))
     } else {
-        Ok((exec_hash_join(l, r, &keys, &residual, scratch), true))
+        Ok(exec_hash_join(l, r, &keys, &residual, scratch))
     }
-}
-
-/// `filter(join(l, r), p)` under the default [`JoinStrategy::Auto`].
-fn exec_filtered_join(l: &ExecTable, r: &ExecTable, pred: &Pred) -> Result<ExecTable, EvalError> {
-    let mut scratch = ExecScratch::default();
-    exec_filtered_join_with(l, r, pred, JoinStrategy::Auto, &mut scratch).map(|(t, _)| t)
-}
-
-/// Executes `filter(join(l, r), p)` under an explicit [`JoinStrategy`] —
-/// the public A/B seam used by the `scale` bench and the join property
-/// tests to compare the hash path against the legacy cross loop on
-/// identical operands.
-///
-/// # Errors
-///
-/// Returns [`EvalError`] when the predicate references a column outside
-/// the concatenated arity.
-pub fn exec_filtered_join_strategy(
-    l: &ExecTable,
-    r: &ExecTable,
-    pred: &Pred,
-    strategy: JoinStrategy,
-) -> Result<ExecTable, EvalError> {
-    let mut scratch = ExecScratch::default();
-    exec_filtered_join_with(l, r, pred, strategy, &mut scratch).map(|(t, _)| t)
 }
 
 fn exec_left_join(
@@ -828,18 +698,70 @@ fn exec_sort(src: &ExecTable, cols: &[usize], asc: bool) -> Result<ExecTable, Ev
     Ok(select_rows(src, &order, src.values.names().to_vec()))
 }
 
+/// Checks the key and target columns of a `group`/`partition` operator,
+/// which its caller must do before computing the row partition.
+fn check_keyed(
+    src: &ExecTable,
+    keys: &[usize],
+    target: usize,
+    operator: &'static str,
+) -> Result<(), EvalError> {
+    let n_cols = src.values.n_cols();
+    check_cols(keys, n_cols, operator)?;
+    check_cols(&[target], n_cols, operator)
+}
+
+/// The key columns of a `group` operator: representative key values and,
+/// for a star-channel request, `group{…}` key terms. They depend on the
+/// child and keys only, so every sibling aggregation choice can share
+/// them.
+#[derive(Debug, Clone)]
+struct GroupKeys {
+    values: Vec<Arc<Vec<Value>>>,
+    /// Empty unless built at [`Semantics::Provenance`].
+    stars: Vec<Arc<Vec<Expr>>>,
+}
+
+/// Builds the [`GroupKeys`] of grouping `src` by `keys` into `groups`.
+fn group_keys(sem: Semantics, src: &ExecTable, keys: &[usize], groups: &[Vec<usize>]) -> GroupKeys {
+    let values = keys
+        .iter()
+        .map(|&k| {
+            let col = src.values.column(k);
+            Arc::new(groups.iter().map(|g| col[g[0]].clone()).collect())
+        })
+        .collect();
+    let stars = if sem.wants_star() {
+        let sg = src.star();
+        keys.iter()
+            .map(|&k| {
+                let col = sg.column(k);
+                Arc::new(
+                    groups
+                        .iter()
+                        .map(|g| Expr::group(g.iter().map(|&i| &col[i])))
+                        .collect(),
+                )
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    GroupKeys { values, stars }
+}
+
+/// The `group` kernel over a caller-supplied row partition and key
+/// columns (see [`group_keys`]): only the aggregate column is built here.
+/// The caller has run [`check_keyed`].
 fn exec_group(
     sem: Semantics,
     src: &ExecTable,
     keys: &[usize],
+    groups: &[Vec<usize>],
+    key_cols: GroupKeys,
     agg: sickle_table::AggFunc,
     target: usize,
-) -> Result<ExecTable, EvalError> {
-    let n_cols = src.values.n_cols();
-    check_cols(keys, n_cols, "group")?;
-    check_cols(&[target], n_cols, "group")?;
-    let groups = group_rows_by_keys(src.values.grid(), keys);
-
+) -> ExecTable {
     let mut names: Vec<String> = keys
         .iter()
         .map(|&k| src.values.names()[k].clone())
@@ -847,38 +769,21 @@ fn exec_group(
     names.push(format!("{agg}({})", src.values.names()[target]));
 
     // Values channel: representative key cells + the aggregate.
-    let mut value_cols: Vec<Vec<Value>> = Vec::with_capacity(keys.len() + 1);
-    for &k in keys {
-        let col = src.values.column(k);
-        value_cols.push(groups.iter().map(|g| col[g[0]].clone()).collect());
-    }
     let target_col = src.values.column(target);
-    value_cols.push(
+    let mut value_cols = key_cols.values;
+    value_cols.push(Arc::new(
         groups
             .iter()
             .map(|g| agg.apply_indexed(target_col, g))
             .collect(),
-    );
-    let values = Table::from_named_grid(
-        names,
-        Grid::from_columns(value_cols.into_iter().map(std::sync::Arc::new).collect()),
-    );
+    ));
+    let values = Table::from_named_grid(names, Grid::from_columns(value_cols));
 
     // Star channel: group{…} key terms and α(members…) aggregates.
     let star = sem.wants_star().then(|| {
-        let sg = src.star();
-        let mut cols: Vec<Vec<Expr>> = Vec::with_capacity(keys.len() + 1);
-        for &k in keys {
-            let col = sg.column(k);
-            cols.push(
-                groups
-                    .iter()
-                    .map(|g| Expr::group(g.iter().map(|&i| &col[i])))
-                    .collect(),
-            );
-        }
-        let tcol = sg.column(target);
-        cols.push(
+        let tcol = src.star().column(target);
+        let mut cols = key_cols.stars;
+        cols.push(Arc::new(
             groups
                 .iter()
                 .map(|g| {
@@ -888,26 +793,24 @@ fn exec_group(
                     )
                 })
                 .collect(),
-        );
-        Grid::from_columns(cols.into_iter().map(std::sync::Arc::new).collect())
+        ));
+        Grid::from_columns(cols)
     });
 
-    Ok(table(values, star))
+    table(values, star)
 }
 
+/// The `partition` kernel over a caller-supplied row partition. The
+/// caller has run [`check_keyed`].
 fn exec_partition(
     sem: Semantics,
     src: &ExecTable,
     keys: &[usize],
+    groups: &[Vec<usize>],
     func: AnalyticFunc,
     target: usize,
-) -> Result<ExecTable, EvalError> {
-    let n_cols = src.values.n_cols();
-    check_cols(keys, n_cols, "partition")?;
-    check_cols(&[target], n_cols, "partition")?;
+) -> ExecTable {
     let n_rows = src.values.n_rows();
-    let groups = group_rows_by_keys(src.values.grid(), keys);
-
     let mut names = src.values.names().to_vec();
     names.push(format!(
         "{func}({}) over {keys:?}",
@@ -917,7 +820,7 @@ fn exec_partition(
     // Values channel: existing columns shared, one window column appended.
     let target_col = src.values.column(target);
     let mut new_col: Vec<Value> = vec![Value::Null; n_rows];
-    for g in &groups {
+    for g in groups {
         for (&i, v) in g.iter().zip(func.apply_indexed(target_col, g)) {
             new_col[i] = v;
         }
@@ -927,10 +830,10 @@ fn exec_partition(
     // Star channel: window terms over the partition's members.
     let star = sem.wants_star().then(|| {
         let sg = src.star();
-        sg.with_column(window_column(func, sg.column(target), &groups, n_rows))
+        sg.with_column(window_column(func, sg.column(target), groups, n_rows))
     });
 
-    Ok(table(values, star))
+    table(values, star)
 }
 
 fn exec_arith(
@@ -1070,7 +973,7 @@ pub struct EvalCache {
     /// of cloning it. Same bound and survival rules as
     /// [`EvalCache::row_counts`].
     group_counts: RefCell<GroupCountsMemo>,
-    /// Pooled scratch of the chunked filter/join paths: selection vectors
+    /// Pooled scratch of the filter/join paths: selection vectors
     /// and key buffers reused across every candidate evaluated through
     /// this cache, so per-candidate allocation stops scaling with row
     /// count.
@@ -1141,9 +1044,7 @@ type GroupPartsKey = (usize, Vec<usize>, bool);
 struct GroupPartsEntry {
     _child: Rc<ExecTable>,
     _groups: Groups,
-    key_values: Vec<Arc<Vec<Value>>>,
-    /// Present when the entry was built for a star-channel request.
-    key_stars: Vec<Arc<Vec<Expr>>>,
+    keys: GroupKeys,
 }
 
 /// Entry of the per-group union memo: the pinned column and groups plus
@@ -1280,11 +1181,6 @@ pub struct CacheStats {
     /// entries instead of expensive join children, so the spend drops
     /// even when the count does not.
     pub reeval_ns: u64,
-    /// Fused `filter ∘ join` steps that ran through the hash-join path.
-    pub hash_joins: usize,
-    /// Fused `filter ∘ join` steps that fell back to the nested cross
-    /// loop (no cross-side equality conjunct in the predicate).
-    pub cross_joins: usize,
     /// Output rows produced by fused join steps (the rows-processed side
     /// of the `time_join` split surfaced through the search stats).
     pub join_rows: u64,
@@ -1342,15 +1238,6 @@ impl EvalCache {
     /// Creates an empty cache with a private [`RefSetPool`].
     pub fn new() -> EvalCache {
         EvalCache::default()
-    }
-
-    /// Creates an empty cache resolving set ids through a shared pool
-    /// (the parallel search hands every worker the same pool).
-    pub fn with_pool(pool: Arc<RefSetPool>) -> EvalCache {
-        EvalCache {
-            pool,
-            ..EvalCache::default()
-        }
     }
 
     /// Creates an empty cache with a private pool and the given eviction
@@ -1642,150 +1529,34 @@ impl EvalCache {
         sets
     }
 
-    /// Engine step for a `group` operator through the grouping-skeleton
-    /// memo: the row partition and the representative/`group{…}` key
-    /// columns are computed once per (child, keys) and `Arc`-shared
-    /// across every sibling aggregation choice — only the aggregate
-    /// column is built per candidate. Output is identical to
-    /// [`exec_step`] on a `group` query.
-    fn exec_group_shared(
+    /// The key columns of a `group` over (`child`, `keys`), built once
+    /// and `Arc`-shared across every sibling aggregation choice (see
+    /// [`EvalCache::group_parts`]).
+    fn group_keys_of(
         &self,
         sem: Semantics,
         child: &Rc<ExecTable>,
         keys: &[usize],
-        agg: sickle_table::AggFunc,
-        target: usize,
-    ) -> Result<ExecTable, EvalError> {
-        let n_cols = child.values.n_cols();
-        check_cols(keys, n_cols, "group")?;
-        check_cols(&[target], n_cols, "group")?;
-        let groups = self.groups_of(child, keys);
-
+        groups: &Groups,
+    ) -> GroupKeys {
         let parts_key = (Rc::as_ptr(child) as usize, keys.to_vec(), sem.wants_star());
-        let cached = self
-            .group_parts
-            .borrow()
-            .get(&parts_key)
-            .map(|e| (e.key_values.clone(), e.key_stars.clone()));
-        let (key_values, key_stars) = match cached {
-            Some(parts) => parts,
-            None => {
-                let key_values: Vec<Arc<Vec<Value>>> = keys
-                    .iter()
-                    .map(|&k| {
-                        let col = child.values.column(k);
-                        Arc::new(groups.iter().map(|g| col[g[0]].clone()).collect())
-                    })
-                    .collect();
-                let key_stars: Vec<Arc<Vec<Expr>>> = if sem.wants_star() {
-                    let sg = child.star();
-                    keys.iter()
-                        .map(|&k| {
-                            let col = sg.column(k);
-                            Arc::new(
-                                groups
-                                    .iter()
-                                    .map(|g| Expr::group(g.iter().map(|&i| &col[i])))
-                                    .collect(),
-                            )
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let mut map = self.group_parts.borrow_mut();
-                if map.len() >= COLUMN_MEMO_CAP {
-                    map.clear();
-                }
-                map.insert(
-                    parts_key,
-                    GroupPartsEntry {
-                        _child: Rc::clone(child),
-                        _groups: Rc::clone(&groups),
-                        key_values: key_values.clone(),
-                        key_stars: key_stars.clone(),
-                    },
-                );
-                (key_values, key_stars)
-            }
-        };
-
-        let mut names: Vec<String> = keys
-            .iter()
-            .map(|&k| child.values.names()[k].clone())
-            .collect();
-        names.push(format!("{agg}({})", child.values.names()[target]));
-
-        let target_col = child.values.column(target);
-        let mut value_cols = key_values;
-        value_cols.push(Arc::new(
-            groups
-                .iter()
-                .map(|g| agg.apply_indexed(target_col, g))
-                .collect(),
-        ));
-        let values = Table::from_named_grid(names, Grid::from_columns(value_cols));
-
-        let star = sem.wants_star().then(|| {
-            let tcol = child.star().column(target);
-            let mut cols = key_stars;
-            cols.push(Arc::new(
-                groups
-                    .iter()
-                    .map(|g| {
-                        Expr::apply(
-                            sickle_provenance::FuncName::Agg(agg),
-                            g.iter().map(|&i| &tcol[i]),
-                        )
-                    })
-                    .collect(),
-            ));
-            Grid::from_columns(cols)
-        });
-
-        Ok(table(values, star))
-    }
-
-    /// Engine step for a `partition` operator through the shared grouping
-    /// memo: the row partition is computed once per (child, keys) and
-    /// shared across every sibling (function, target) choice — only the
-    /// window column is built per candidate. Output is identical to
-    /// [`exec_step`] on a `partition` query.
-    fn exec_partition_shared(
-        &self,
-        sem: Semantics,
-        child: &Rc<ExecTable>,
-        keys: &[usize],
-        func: AnalyticFunc,
-        target: usize,
-    ) -> Result<ExecTable, EvalError> {
-        let n_cols = child.values.n_cols();
-        check_cols(keys, n_cols, "partition")?;
-        check_cols(&[target], n_cols, "partition")?;
-        let n_rows = child.values.n_rows();
-        let groups = self.groups_of(child, keys);
-
-        let mut names = child.values.names().to_vec();
-        names.push(format!(
-            "{func}({}) over {keys:?}",
-            child.values.names()[target]
-        ));
-
-        let target_col = child.values.column(target);
-        let mut new_col: Vec<Value> = vec![Value::Null; n_rows];
-        for g in groups.iter() {
-            for (&i, v) in g.iter().zip(func.apply_indexed(target_col, g)) {
-                new_col[i] = v;
-            }
+        if let Some(entry) = self.group_parts.borrow().get(&parts_key) {
+            return entry.keys.clone();
         }
-        let values = Table::from_named_grid(names, child.values.grid().with_column(new_col));
-
-        let star = sem.wants_star().then(|| {
-            let sg = child.star();
-            sg.with_column(window_column(func, sg.column(target), &groups, n_rows))
-        });
-
-        Ok(table(values, star))
+        let key_cols = group_keys(sem, child, keys, groups);
+        let mut map = self.group_parts.borrow_mut();
+        if map.len() >= COLUMN_MEMO_CAP {
+            map.clear();
+        }
+        map.insert(
+            parts_key,
+            GroupPartsEntry {
+                _child: Rc::clone(child),
+                _groups: Rc::clone(groups),
+                keys: key_cols.clone(),
+            },
+        );
+        key_cols
     }
 
     /// Memoized `extract_groups` over a concrete engine result (see
@@ -1901,17 +1672,9 @@ impl EvalCache {
             let l = narrow(self.exec(left, sem, inputs)?);
             let r = narrow(self.exec(right, sem, inputs)?);
             let t0 = Instant::now();
-            let (out, hashed) = {
-                let mut scratch = self.scratch.borrow_mut();
-                exec_filtered_join_with(&l, &r, pred, JoinStrategy::Auto, &mut scratch)?
-            };
+            let out = exec_filtered_join(&l, &r, pred, &mut self.scratch.borrow_mut())?;
             let ns = t0.elapsed().as_nanos() as u64;
             let mut stats = self.stats.get();
-            if hashed {
-                stats.hash_joins += 1;
-            } else {
-                stats.cross_joins += 1;
-            }
             stats.join_rows = stats.join_rows.saturating_add(out.values.n_rows() as u64);
             stats.join_ns = stats.join_ns.saturating_add(ns);
             self.stats.set(stats);
@@ -1922,10 +1685,7 @@ impl EvalCache {
             // does not allocate per row count.
             let child = narrow(self.exec(src, sem, inputs)?);
             let t0 = Instant::now();
-            let out = {
-                let mut scratch = self.scratch.borrow_mut();
-                exec_filter_with(&child, pred, &mut scratch.keep)?
-            };
+            let out = exec_filter(&child, pred, &mut self.scratch.borrow_mut().keep)?;
             (out, t0.elapsed().as_nanos() as u64)
         } else if let Query::Group {
             src,
@@ -1941,7 +1701,10 @@ impl EvalCache {
             // stable across sibling candidates.
             let child = self.exec(src, sem, inputs)?;
             let t0 = Instant::now();
-            let out = self.exec_group_shared(sem, &child, keys, *agg, *target)?;
+            check_keyed(&child, keys, *target, "group")?;
+            let groups = self.groups_of(&child, keys);
+            let key_cols = self.group_keys_of(sem, &child, keys, &groups);
+            let out = exec_group(sem, &child, keys, &groups, key_cols, *agg, *target);
             // One row per group: every sibling aggregation choice over
             // the same (child, keys) can now fast-reject from the memo.
             self.note_group_rows(src, keys, out.values.n_rows());
@@ -1958,8 +1721,10 @@ impl EvalCache {
             // choice over the same keys.
             let child = self.exec(src, sem, inputs)?;
             let t0 = Instant::now();
+            check_keyed(&child, keys, *target, "partition")?;
+            let groups = self.groups_of(&child, keys);
             (
-                self.exec_partition_shared(sem, &child, keys, *func, *target)?,
+                exec_partition(sem, &child, keys, &groups, *func, *target),
                 t0.elapsed().as_nanos() as u64,
             )
         } else {
@@ -2104,15 +1869,12 @@ mod tests {
     fn channels_match_requested_semantics() {
         let q = Query::Input(0);
         let inputs = [input()];
-        let v = ConcreteEngine.exec(&q, &inputs).unwrap();
+        let v = exec(Semantics::Values, &q, &inputs).unwrap();
         assert_eq!(v.semantics(), Semantics::Values);
-        let p = ProvenanceEngine.exec(&q, &inputs).unwrap();
+        let p = exec(Semantics::Provenance, &q, &inputs).unwrap();
         assert_eq!(p.semantics(), Semantics::Provenance);
         let u = RefUniverse::from_tables(&inputs);
-        let a = AnalysisEngine { universe: &u }
-            .exec_with_sets(&q, &inputs)
-            .unwrap();
-        assert_eq!(a.sets(&u)[(0, 0)].len(), 1);
+        assert_eq!(p.sets(&u)[(0, 0)].len(), 1);
     }
 
     #[test]
@@ -2124,7 +1886,7 @@ mod tests {
             target: 2,
         };
         let inputs = [input()];
-        let out = ProvenanceEngine.exec(&q, &inputs).unwrap();
+        let out = exec(Semantics::Provenance, &q, &inputs).unwrap();
         let via_star = crate::prov_eval::concretize(out.star(), &inputs);
         assert!(via_star.bag_eq(out.table()));
     }
@@ -2152,7 +1914,7 @@ mod tests {
         };
         let inputs = [input()];
         let u = RefUniverse::from_tables(&inputs);
-        let out = AnalysisEngine { universe: &u }.exec(&q, &inputs).unwrap();
+        let out = exec(Semantics::Provenance, &q, &inputs).unwrap();
         // The lazily-derived sets equal ref-collection over star.
         let from_star = out.star().map(|e| u.set_from(e.refs()));
         assert_eq!(*out.sets(&u), from_star);
@@ -2168,8 +1930,8 @@ mod tests {
         };
         let inputs = [input()];
         let u = RefUniverse::from_tables(&inputs);
-        let lazy = ProvenanceEngine.exec(&q, &inputs).unwrap();
-        let eager = ProvenanceEngine.exec(&q, &inputs).unwrap();
+        let lazy = exec(Semantics::Provenance, &q, &inputs).unwrap();
+        let eager = exec(Semantics::Provenance, &q, &inputs).unwrap();
         let grid = eager.sets(&u);
         // Probe cells out of order before any full materialization.
         for (i, j) in [(1, 1), (0, 0), (1, 0), (0, 1)] {
@@ -2187,19 +1949,60 @@ mod tests {
             left: Box::new(Query::Input(0)),
             right: Box::new(Query::Input(0)),
         };
+        let preds = [
+            // Single equi key, both orientations.
+            Pred::ColCmp(0, CmpOp::Eq, 4),
+            Pred::ColCmp(5, CmpOp::Eq, 1),
+            // Equi key plus residual conjuncts on both sides of the And.
+            Pred::And(
+                Box::new(Pred::ColCmp(0, CmpOp::Eq, 4)),
+                Box::new(Pred::ColCmp(2, CmpOp::Lt, 6)),
+            ),
+            Pred::And(
+                Box::new(Pred::ColConst(1, CmpOp::Ge, Value::Int(2))),
+                Box::new(Pred::ColCmp(1, CmpOp::Eq, 5)),
+            ),
+            // Two equi keys (multi-column hash path).
+            Pred::And(
+                Box::new(Pred::ColCmp(0, CmpOp::Eq, 4)),
+                Box::new(Pred::ColCmp(1, CmpOp::Eq, 5)),
+            ),
+            // No equi key (nested-loop fallback): same-side equality,
+            // non-equality, constant-only.
+            Pred::ColCmp(0, CmpOp::Eq, 1),
+            Pred::ColCmp(2, CmpOp::Lt, 6),
+            Pred::ColConst(0, CmpOp::Eq, Value::from("A")),
+            Pred::True,
+        ];
+        let inputs = [input()];
+        let cache = EvalCache::new();
+        for pred in preds {
+            let q = Query::Filter {
+                src: Box::new(join.clone()),
+                pred: pred.clone(),
+            };
+            // Unfused: evaluate the join, then filter as a separate step.
+            let j = exec(Semantics::Provenance, &join, &inputs).unwrap();
+            let unfused = exec_step(Semantics::Provenance, &q, &[&j], &inputs).unwrap();
+            let walked = exec(Semantics::Provenance, &q, &inputs).unwrap();
+            let cached = cache.exec(&q, Semantics::Provenance, &inputs).unwrap();
+            for fused in [&walked, &*cached] {
+                assert_eq!(fused.table(), unfused.table(), "values diverged on {pred}");
+                assert_eq!(fused.star(), unfused.star(), "star diverged on {pred}");
+            }
+        }
+        // Equi-join on city: 2 matches per row.
         let q = Query::Filter {
-            src: Box::new(join.clone()),
+            src: Box::new(join),
             pred: Pred::ColCmp(0, CmpOp::Eq, 4),
         };
-        let inputs = [input()];
-        let fused = ProvenanceEngine.exec(&q, &inputs).unwrap();
-        // Unfused: evaluate the join, then filter as a separate step.
-        let j = ProvenanceEngine.exec(&join, &inputs).unwrap();
-        let unfused = exec_filter(&j, &Pred::ColCmp(0, CmpOp::Eq, 4)).unwrap();
-        assert!(fused.table().bag_eq(unfused.table()));
-        assert_eq!(fused.star(), unfused.star());
-        // Equi-join on city: 2 matches per row.
-        assert_eq!(fused.table().n_rows(), 8);
+        assert_eq!(
+            exec(Semantics::Values, &q, &inputs)
+                .unwrap()
+                .table()
+                .n_rows(),
+            8
+        );
     }
 
     #[test]
@@ -2457,48 +2260,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_join_matches_cross_loop_on_every_strategy_relevant_pred() {
-        let inputs = [input()];
-        let l = ProvenanceEngine.exec(&Query::Input(0), &inputs).unwrap();
-        let r = ProvenanceEngine.exec(&Query::Input(0), &inputs).unwrap();
-        let preds = [
-            // Single equi key, both orientations.
-            Pred::ColCmp(0, CmpOp::Eq, 4),
-            Pred::ColCmp(5, CmpOp::Eq, 1),
-            // Equi key plus residual conjuncts on both sides of the And.
-            Pred::And(
-                Box::new(Pred::ColCmp(0, CmpOp::Eq, 4)),
-                Box::new(Pred::ColCmp(2, CmpOp::Lt, 6)),
-            ),
-            Pred::And(
-                Box::new(Pred::ColConst(1, CmpOp::Ge, Value::Int(2))),
-                Box::new(Pred::ColCmp(1, CmpOp::Eq, 5)),
-            ),
-            // Two equi keys (multi-column hash path).
-            Pred::And(
-                Box::new(Pred::ColCmp(0, CmpOp::Eq, 4)),
-                Box::new(Pred::ColCmp(1, CmpOp::Eq, 5)),
-            ),
-            // No equi key: same-side equality, non-equality, constant-only.
-            Pred::ColCmp(0, CmpOp::Eq, 1),
-            Pred::ColCmp(2, CmpOp::Lt, 6),
-            Pred::ColConst(0, CmpOp::Eq, Value::from("A")),
-            Pred::True,
-        ];
-        for pred in preds {
-            let auto = exec_filtered_join_strategy(&l, &r, &pred, JoinStrategy::Auto).unwrap();
-            let cross =
-                exec_filtered_join_strategy(&l, &r, &pred, JoinStrategy::CrossLoop).unwrap();
-            assert_eq!(
-                auto.table().grid(),
-                cross.table().grid(),
-                "values diverged on {pred}"
-            );
-            assert_eq!(auto.star(), cross.star(), "star diverged on {pred}");
-        }
-    }
-
-    #[test]
     fn equi_key_split_recognizes_cross_side_equalities_only() {
         let pred = Pred::And(
             Box::new(Pred::And(
@@ -2598,7 +2359,7 @@ mod tests {
         };
         let inputs = [input()];
         let cache = EvalCache::new();
-        let direct = ProvenanceEngine.exec(&q, &inputs).unwrap();
+        let direct = exec(Semantics::Provenance, &q, &inputs).unwrap();
         let shared = cache.exec(&q, Semantics::Provenance, &inputs).unwrap();
         for out in [&direct, &*shared] {
             let col = out.star().column(4);
@@ -2670,9 +2431,7 @@ mod tests {
 
     #[test]
     fn missing_input_errors() {
-        let err = ConcreteEngine
-            .exec(&Query::Input(3), &[input()])
-            .unwrap_err();
+        let err = exec(Semantics::Values, &Query::Input(3), &[input()]).unwrap_err();
         assert!(matches!(err, EvalError::NoSuchInput { index: 3, .. }));
     }
 }

@@ -9,13 +9,13 @@
 //!
 //! * [`Query`] / [`PQuery`] (`ast`) — the Fig. 7 language and partial
 //!   queries with holes;
-//! * [`Engine`] / [`ExecTable`] (`engine`) — the shared columnar operator
+//! * [`exec`] / [`ExecTable`] (`engine`) — the shared columnar operator
 //!   pipeline. Every operator (`group`, `partition`, `arithmetic`,
-//!   `filter`, `sort`, joins) is implemented *once*; an [`ExecTable`]
-//!   carries the concrete values plus optional provenance-term and
-//!   abstract-ref-set side-channels, selected by [`Semantics`]. The three
-//!   instantiations are [`ConcreteEngine`], [`ProvenanceEngine`] and
-//!   [`AnalysisEngine`];
+//!   `filter`, `sort`, joins) has *one* kernel; an [`ExecTable`] carries
+//!   the concrete values plus optional provenance-term and
+//!   abstract-ref-set side-channels, selected by [`Semantics`]. [`exec`]
+//!   is the plain recursive walk over the kernels, [`exec_step`] applies
+//!   one operator;
 //! * [`evaluate`] (`eval`) — standard semantics `[[q(T̄)]]`, the values
 //!   channel of the pipeline;
 //! * [`prov_evaluate`] (`prov_eval`) — provenance-tracking semantics
@@ -23,10 +23,11 @@
 //! * [`abstract_evaluate`] / [`abstract_consistent`] (`abstract_eval`) —
 //!   abstract provenance `[[q(T̄)]]◦` and the Def. 3 check (Fig. 11);
 //!   concrete leaves run through the pipeline's ref-set channel;
-//! * [`EvalCache`] — memoized engine results keyed by
-//!   `(query, semantics)`, threaded through the search so sibling partial
-//!   queries share inner-subquery evaluations. Eviction is governed by a
-//!   [`CachePolicy`]: cost-aware sweeps (victims ranked by coldness, then
+//! * [`EvalCache`] — the memoizing caller of the same kernels, keyed by
+//!   `(query, semantics)` and threaded through the search so sibling
+//!   partial queries share inner-subquery evaluations (and sibling
+//!   `group`/`partition` candidates share row partitions and key
+//!   columns). Eviction is governed by a [`CachePolicy`]: cost-aware sweeps (victims ranked by coldness, then
 //!   recompute cost) with hysteresis, demoting cold expensive entries —
 //!   typically join children — by spilling their derived reference-set
 //!   channels instead of dropping them ([`CacheStats`] counts the churn);
@@ -84,10 +85,7 @@ pub use abstract_eval::{
     abstract_consistent, abstract_evaluate, abstract_evaluate_rc, demo_ref_sets, AbsTable,
 };
 pub use ast::{PQuery, Pred, Query};
-pub use engine::{
-    exec_filtered_join_strategy, exec_step, AnalysisEngine, CachePolicy, CacheStats,
-    ConcreteEngine, Engine, EvalCache, ExecTable, JoinStrategy, ProvenanceEngine, Semantics,
-};
+pub use engine::{exec, exec_step, CachePolicy, CacheStats, EvalCache, ExecTable, Semantics};
 pub use error::SickleError;
 pub use eval::{evaluate, EvalError};
 pub use prov_eval::{concretize, expand_arith, prov_evaluate, ProvTable};

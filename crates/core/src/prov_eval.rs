@@ -14,8 +14,8 @@
 //!   `rank(own, peers…)` — these differ per row and stay O(m²);
 //! * `arithmetic` expands the function body `γ` into nested applications.
 //!
-//! Since the engine refactor, [`prov_evaluate`] is the star channel of the
-//! shared columnar pipeline ([`crate::engine::ProvenanceEngine`]). The
+//! [`prov_evaluate`] is the star channel of the engine's uncached walker
+//! ([`crate::exec`] at [`crate::Semantics::Provenance`]). The
 //! order- and value-sensitive operators (`filter`, `sort`, grouping) read
 //! the pipeline's *values* channel directly instead of re-evaluating each
 //! cell's expression, which the old row-major interpreter did on every
@@ -26,7 +26,7 @@ use sickle_table::{AggFunc, AnalyticFunc, ArithExpr, Grid, Table};
 use sickle_provenance::{Expr, FuncName};
 
 use crate::ast::Query;
-use crate::engine::{Engine, ProvenanceEngine};
+use crate::engine::{exec, Semantics};
 use crate::eval::EvalError;
 
 /// A provenance-embedded table `T★`: a grid of expressions.
@@ -61,7 +61,7 @@ pub type ProvTable = Grid<Expr>;
 /// # Ok::<(), sickle_core::EvalError>(())
 /// ```
 pub fn prov_evaluate(q: &Query, inputs: &[Table]) -> Result<ProvTable, EvalError> {
-    Ok(ProvenanceEngine.exec(q, inputs)?.star().clone())
+    Ok(exec(Semantics::Provenance, q, inputs)?.star().clone())
 }
 
 /// Evaluates every cell of a provenance table, recovering the concrete

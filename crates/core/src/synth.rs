@@ -557,12 +557,12 @@ pub struct SearchStats {
     /// Output rows produced by those join kernels — the "rows processed"
     /// half of the join split (throughput = `join_rows / time_join`).
     pub join_rows: usize,
-    /// Engine-cache entries dropped entirely by eviction sweeps.
+    /// Entries dropped entirely by engine-cache eviction sweeps.
     pub cache_evictions: usize,
-    /// Engine-cache entries demoted (star-channel spill: derived ref-set
+    /// Entries demoted by the engine cache (star-channel spill: derived ref-set
     /// channels freed, value and star columns kept).
     pub cache_demotions: usize,
-    /// Engine-cache re-evaluations: inserts that recomputed a previously
+    /// Re-evaluations in the engine cache: inserts that recomputed a previously
     /// evicted query (the churn the cost-aware policy minimizes).
     pub cache_reevals: usize,
     /// Time spent on those re-evaluations (each node's operator step).

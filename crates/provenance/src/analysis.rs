@@ -44,14 +44,6 @@ use crate::matching::{find_table_match_with_candidates, MatchDims};
 use crate::pool::{FxBuild, FxMap, RefSetPool, SetId};
 use crate::ref_set::RefSet;
 
-/// Escape hatch for perf diagnosis: `SICKLE_NO_ANALYSIS_CACHE=1` bypasses
-/// both memo layers (the verdict is computed directly; results are
-/// identical by construction).
-fn no_cache() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("SICKLE_NO_ANALYSIS_CACHE").is_some())
-}
-
 /// Number of lock shards per memo layer (power of two).
 const SHARDS: usize = 16;
 
@@ -364,7 +356,7 @@ impl AnalysisCache {
         // For small abstract tables, running the matcher outright is
         // cheaper than building and probing grid-content keys: the memo
         // layers only engage where matching is genuinely expensive.
-        if no_cache() || dims.table_rows * dims.table_cols < MEMO_MIN_CELLS {
+        if dims.table_rows * dims.table_cols < MEMO_MIN_CELLS {
             return self.check(dims, token, demo, abs, pool, false);
         }
         let key = GridKey {
@@ -474,9 +466,6 @@ impl AnalysisCache {
         abs_ids: &[SetId],
         compute: impl FnOnce() -> bool,
     ) -> bool {
-        if no_cache() {
-            return compute();
-        }
         let key = (col_token, abs_ids.to_vec().into_boxed_slice());
         let shard = self.shard_of(&key);
         if let Some(&v) = self.columns[shard]

@@ -1,12 +1,13 @@
-//! Join and bulk-kernel property tests: the hash equi-join path (with
-//! residual predicates evaluated on matches only) must be row-set- and
-//! provenance-identical to the legacy cross-product loop on random
+//! Join and bulk-kernel property tests: the fused `filter ∘ join` path
+//! (hash equi-join with residual predicates evaluated on matches only, or
+//! the nested-loop fallback) must be row-, order- and provenance-identical
+//! to the unfused cross product followed by a separate filter on random
 //! tables — duplicate keys, empty sides, cross-type numeric keys and
 //! non-equi fallbacks included — and the vectorized group/window kernels
 //! must match the row-at-a-time reference bit for bit.
 
 use sickle_benchmarks::Rng;
-use sickle_core::{exec_filtered_join_strategy, exec_step, JoinStrategy, Pred, Query, Semantics};
+use sickle_core::{exec, exec_step, EvalError, ExecTable, Pred, Query, Semantics};
 use sickle_table::{extract_groups, gather_column, AggFunc, AnalyticFunc, CmpOp, Table, Value};
 
 /// A deliberately tiny value palette: heavy key duplication, cross-type
@@ -33,7 +34,7 @@ fn random_table(rng: &mut Rng, n_rows: usize, n_cols: usize) -> Table {
 /// A random join predicate over `l_cols + r_cols` concatenated columns:
 /// cross-side equalities (what the hash path extracts), same-side
 /// equalities, non-equi comparisons, constants, conjunctions and `True` —
-/// every shape the strategy splitter must classify.
+/// every shape the equi-key splitter must classify.
 fn random_pred(rng: &mut Rng, l_cols: usize, r_cols: usize, depth: usize) -> Pred {
     let lc = rng.gen_range(l_cols);
     let rc = l_cols + rng.gen_range(r_cols);
@@ -55,29 +56,55 @@ fn random_pred(rng: &mut Rng, l_cols: usize, r_cols: usize, depth: usize) -> Pre
     }
 }
 
-fn input_pair(l: Table, r: Table) -> (sickle_core::ExecTable, sickle_core::ExecTable) {
-    let inputs = vec![l, r];
-    let le =
-        exec_step(Semantics::Provenance, &Query::Input(0), &[], &inputs).expect("input 0 executes");
-    let re =
-        exec_step(Semantics::Provenance, &Query::Input(1), &[], &inputs).expect("input 1 executes");
-    (le, re)
+/// `filter(join(T1, T2), pred)`, the shape the engine fuses.
+fn filtered_join(pred: &Pred) -> Query {
+    Query::Filter {
+        src: Box::new(Query::Join {
+            left: Box::new(Query::Input(0)),
+            right: Box::new(Query::Input(1)),
+        }),
+        pred: pred.clone(),
+    }
 }
 
-fn assert_strategies_agree(le: &sickle_core::ExecTable, re: &sickle_core::ExecTable, pred: &Pred) {
-    let hash = exec_filtered_join_strategy(le, re, pred, JoinStrategy::Auto);
-    let cross = exec_filtered_join_strategy(le, re, pred, JoinStrategy::CrossLoop);
-    match (hash, cross) {
-        (Ok(hash), Ok(cross)) => {
+/// The fused result of `filter(join(l, r), pred)`.
+fn fused(l: &Table, r: &Table, pred: &Pred) -> Result<ExecTable, EvalError> {
+    exec(
+        Semantics::Provenance,
+        &filtered_join(pred),
+        &[l.clone(), r.clone()],
+    )
+}
+
+/// Checks the fused path against the unfused pair: the full cross
+/// product from the `join` step, then a separate `filter` step — values,
+/// pair order, star terms and error kinds must all agree.
+fn assert_fused_matches_unfused(l: &Table, r: &Table, pred: &Pred) {
+    let inputs = [l.clone(), r.clone()];
+    let sem = Semantics::Provenance;
+    let le = exec_step(sem, &Query::Input(0), &[], &inputs).expect("input 0 executes");
+    let re = exec_step(sem, &Query::Input(1), &[], &inputs).expect("input 1 executes");
+    let q = filtered_join(pred);
+    let Query::Filter { src: join, .. } = &q else {
+        unreachable!("filtered_join builds a filter")
+    };
+    let cross = exec_step(sem, join, &[&le, &re], &inputs).expect("join executes");
+    let unfused = exec_step(sem, &q, &[&cross], &inputs);
+    match (fused(l, r, pred), unfused) {
+        (Ok(fused), Ok(unfused)) => {
             assert_eq!(
-                hash.table(),
-                cross.table(),
+                fused.table(),
+                unfused.table(),
                 "values diverged on pred {pred:?}"
             );
-            assert_eq!(hash.star(), cross.star(), "star diverged on pred {pred:?}");
+            assert_eq!(
+                fused.star(),
+                unfused.star(),
+                "star diverged on pred {pred:?}"
+            );
         }
-        (Err(he), Err(ce)) => assert_eq!(he, ce, "error kinds diverged on pred {pred:?}"),
-        (hash, cross) => panic!("outcome diverged on pred {pred:?}: {hash:?} vs {cross:?}"),
+        (Err(fe), Err(ue)) => assert_eq!(fe, ue, "error kinds diverged on pred {pred:?}"),
+        (fused, unfused) => panic!("outcome diverged on pred {pred:?}: {fused:?} vs {unfused:?}"),
     }
 }
 
@@ -87,12 +114,12 @@ fn hash_join_matches_cross_loop_on_random_tables() {
     for _case in 0..150 {
         let n_l = rng.gen_range(13);
         let n_r = rng.gen_range(13);
-        let (le, re) = input_pair(
+        let (l, r) = (
             random_table(&mut rng, n_l, 3),
             random_table(&mut rng, n_r, 2),
         );
         let pred = random_pred(&mut rng, 3, 2, 2);
-        assert_strategies_agree(&le, &re, &pred);
+        assert_fused_matches_unfused(&l, &r, &pred);
     }
 }
 
@@ -102,13 +129,12 @@ fn hash_join_handles_empty_sides_and_total_duplication() {
     let equi = Pred::ColCmp(0, CmpOp::Eq, 2);
     // Empty left, empty right, both empty.
     for (n_l, n_r) in [(0, 6), (6, 0), (0, 0)] {
-        let (le, re) = input_pair(
+        let (l, r) = (
             random_table(&mut rng, n_l, 2),
             random_table(&mut rng, n_r, 2),
         );
-        assert_strategies_agree(&le, &re, &equi);
-        let out = exec_filtered_join_strategy(&le, &re, &equi, JoinStrategy::Auto)
-            .expect("empty-side join executes");
+        assert_fused_matches_unfused(&l, &r, &equi);
+        let out = fused(&l, &r, &equi).expect("empty-side join executes");
         assert_eq!(out.table().n_rows(), 0);
     }
     // Every key identical on both sides: the full cross product survives
@@ -119,10 +145,9 @@ fn hash_join_handles_empty_sides_and_total_duplication() {
             .collect();
         Table::new(["k", "v"], rows).expect("rectangular")
     };
-    let (le, re) = input_pair(all_same(9), all_same(7));
-    assert_strategies_agree(&le, &re, &equi);
-    let out = exec_filtered_join_strategy(&le, &re, &equi, JoinStrategy::Auto)
-        .expect("duplicate-key join executes");
+    let (l, r) = (all_same(9), all_same(7));
+    assert_fused_matches_unfused(&l, &r, &equi);
+    let out = fused(&l, &r, &equi).expect("duplicate-key join executes");
     assert_eq!(out.table().n_rows(), 9 * 7);
 }
 
@@ -152,10 +177,8 @@ fn cross_type_numeric_keys_join_like_the_legacy_path() {
     )
     .expect("rectangular");
     let equi = Pred::ColCmp(0, CmpOp::Eq, 2);
-    let (le, re) = input_pair(l, r);
-    assert_strategies_agree(&le, &re, &equi);
-    let out = exec_filtered_join_strategy(&le, &re, &equi, JoinStrategy::Auto)
-        .expect("cross-type join executes");
+    assert_fused_matches_unfused(&l, &r, &equi);
+    let out = fused(&l, &r, &equi).expect("cross-type join executes");
     // 2/2.0 match once each, 0/0.0/-0.0 match once each, Null == Null.
     assert_eq!(out.table().n_rows(), 6);
 }
@@ -163,14 +186,14 @@ fn cross_type_numeric_keys_join_like_the_legacy_path() {
 #[test]
 fn residual_predicates_filter_hash_matches_only() {
     let mut rng = Rng::seed_from_u64(99);
-    let (le, re) = input_pair(random_table(&mut rng, 40, 3), random_table(&mut rng, 30, 2));
+    let (l, r) = (random_table(&mut rng, 40, 3), random_table(&mut rng, 30, 2));
     for residual in [
         Pred::ColCmp(1, CmpOp::Lt, 4),
         Pred::ColConst(1, CmpOp::Ge, Value::Int(2)),
         Pred::ColCmp(1, CmpOp::Eq, 2), // same-side equality is residual
     ] {
         let pred = Pred::And(Box::new(Pred::ColCmp(0, CmpOp::Eq, 3)), Box::new(residual));
-        assert_strategies_agree(&le, &re, &pred);
+        assert_fused_matches_unfused(&l, &r, &pred);
     }
 }
 

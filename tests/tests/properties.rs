@@ -9,6 +9,8 @@
 //!   (Def. 3 soundness) — again on random pairs and the full suite;
 //! * the engine's ref-set channel agrees exactly with `ref(·)` collection
 //!   over the star channel;
+//! * the engine's uncached walker and its memoizing cache agree on values,
+//!   star terms, reference sets and errors;
 //! * demonstrations generated from a provenance table are always accepted
 //!   by the `≺` rules (truncation and permutation preserve consistency);
 //! * surface syntax round-trips through the parser.
@@ -17,8 +19,8 @@ use std::sync::Arc;
 
 use sickle_benchmarks::{all_benchmarks, demo_expr_of, rng::Rng};
 use sickle_core::{
-    abstract_consistent, abstract_evaluate, concretize, demo_ref_sets, evaluate, prov_evaluate,
-    AbsTable, AnalysisEngine, Engine, EvalCache, PQuery, Pred, Query,
+    abstract_consistent, abstract_evaluate, concretize, demo_ref_sets, evaluate, exec,
+    prov_evaluate, AbsTable, EvalCache, PQuery, Pred, Query, Semantics,
 };
 use sickle_provenance::{expr_consistent, parse_expr, Demo, RefUniverse};
 use sickle_table::{AggFunc, AnalyticFunc, ArithExpr, ArithOp, CmpOp, Grid, Table, Value};
@@ -240,14 +242,11 @@ fn engine_sets_channel_matches_star_refs() {
         let q = random_query(&mut rng, 2);
         let inputs = [t];
         let universe = RefUniverse::from_tables(&inputs);
-        let Ok(exec) = (AnalysisEngine {
-            universe: &universe,
-        })
-        .exec_with_sets(&q, &inputs) else {
+        let Ok(out) = exec(Semantics::Provenance, &q, &inputs) else {
             continue;
         };
-        let from_star = exec.star().map(|e| universe.set_from(e.refs()));
-        assert_eq!(*exec.sets(&universe), from_star, "seed {seed}: query {q}");
+        let from_star = out.star().map(|e| universe.set_from(e.refs()));
+        assert_eq!(*out.sets(&universe), from_star, "seed {seed}: query {q}");
     }
 }
 
@@ -279,10 +278,7 @@ fn shared_term_sets_equal_naive_refs() {
         let q = random_query(&mut rng, 3);
         let inputs = [t];
         let universe = RefUniverse::from_tables(&inputs);
-        let engine = AnalysisEngine {
-            universe: &universe,
-        };
-        let Ok(whole) = engine.exec(&q, &inputs) else {
+        let Ok(whole) = exec(Semantics::Provenance, &q, &inputs) else {
             continue;
         };
         let naive = whole.star().map(|e| universe.set_from(e.refs()));
@@ -300,7 +296,7 @@ fn shared_term_sets_equal_naive_refs() {
             .count();
         // Per-cell probes first, in a scrambled order, on a result whose
         // whole-grid channel was never derived.
-        let probed = engine.exec(&q, &inputs).expect("evaluated above");
+        let probed = exec(Semantics::Provenance, &q, &inputs).expect("evaluated above");
         rng.shuffle(&mut cells);
         for (i, j) in cells {
             assert_eq!(
@@ -312,6 +308,120 @@ fn shared_term_sets_equal_naive_refs() {
         assert_eq!(*whole.sets(&universe), naive, "seed {seed}: query {q}");
     }
     assert!(shared_cells > 0, "no query produced a shared term");
+}
+
+/// `q` and its siblings: every aggregation (window) choice of a top
+/// `group` (`partition`) over the same child and keys — the candidates
+/// that share a row partition and key columns in the engine cache.
+fn with_siblings(q: Query) -> Vec<Query> {
+    match q {
+        Query::Group {
+            src, keys, target, ..
+        } => AggFunc::ALL
+            .iter()
+            .map(|&agg| Query::Group {
+                src: src.clone(),
+                keys: keys.clone(),
+                agg,
+                target,
+            })
+            .collect(),
+        Query::Partition {
+            src, keys, target, ..
+        } => AnalyticFunc::ALL
+            .iter()
+            .map(|&func| Query::Partition {
+                src: src.clone(),
+                keys: keys.clone(),
+                func,
+                target,
+            })
+            .collect(),
+        q => vec![q],
+    }
+}
+
+/// The engine's two callers run the same operator kernels but source the
+/// `group`/`partition` row partitions and key columns differently: the
+/// uncached walker (`exec`) computes them fresh, the cache memoizes them
+/// and shares them across siblings. On random depth-3 queries and their
+/// siblings, over inline-width and wide tables, evaluated through one
+/// cache per table at both semantics, both callers must agree on values,
+/// star terms, reference sets and errors.
+#[test]
+fn cached_and_uncached_evaluation_agree() {
+    let mut shared_key_cols = 0;
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(seed);
+        let t = if seed % 2 == 0 {
+            random_table(&mut rng)
+        } else {
+            random_tall_table(&mut rng)
+        };
+        let inputs = [t];
+        let universe = RefUniverse::from_tables(&inputs);
+        let queries: Vec<Query> = (0..4)
+            .flat_map(|_| with_siblings(random_query(&mut rng, 3)))
+            .collect();
+        let cache = EvalCache::new();
+        for sem in [Semantics::Values, Semantics::Provenance] {
+            for q in &queries {
+                match (exec(sem, q, &inputs), cache.exec(q, sem, &inputs)) {
+                    (Ok(walked), Ok(cached)) => {
+                        let ctx = format!("seed {seed} {sem:?}: query {q}");
+                        assert_eq!(walked.table(), cached.table(), "values: {ctx}");
+                        if sem == Semantics::Provenance {
+                            assert_eq!(walked.star(), cached.star(), "star: {ctx}");
+                            assert_eq!(
+                                walked.sets(&universe),
+                                cached.sets(&universe),
+                                "sets: {ctx}"
+                            );
+                        }
+                    }
+                    (Err(walked), Err(cached)) => {
+                        assert_eq!(walked, cached, "seed {seed} {sem:?}: query {q}");
+                    }
+                    (walked, cached) => panic!(
+                        "seed {seed} {sem:?}: query {q}: walker ok {}, cache ok {}",
+                        walked.is_ok(),
+                        cached.is_ok()
+                    ),
+                }
+            }
+            // Sibling `group`s over one child share the memoized key
+            // columns (so the comparisons above covered the shared path).
+            for pair in queries.windows(2) {
+                if let [Query::Group {
+                    src: a, keys: ka, ..
+                }, Query::Group {
+                    src: b, keys: kb, ..
+                }] = pair
+                {
+                    if a != b || ka != kb {
+                        continue;
+                    }
+                    let (Ok(x), Ok(y)) = (
+                        cache.exec(&pair[0], sem, &inputs),
+                        cache.exec(&pair[1], sem, &inputs),
+                    ) else {
+                        continue;
+                    };
+                    assert!(
+                        Arc::ptr_eq(
+                            x.table().grid().column_arc(0),
+                            y.table().grid().column_arc(0)
+                        ),
+                        "seed {seed} {sem:?}: siblings {} and {} rebuilt their key column",
+                        pair[0],
+                        pair[1]
+                    );
+                    shared_key_cols += 1;
+                }
+            }
+        }
+    }
+    assert!(shared_key_cols > 0, "no sibling group pair was evaluated");
 }
 
 /// Demonstrations generated from provenance cells are accepted by ≺:
