@@ -42,13 +42,16 @@ struct Instance {
 
 /// Replays the search frontier of one benchmark (pruned exactly as the
 /// real search prunes it — [`frontier_candidates`]) and collects up to
-/// `cap` concrete candidates' star grids.
+/// `cap` concrete candidates' star grids. Candidates are evaluated one-shot
+/// as the search evaluates them: their children are stored in `ctx`'s
+/// engine cache, they are not, so a star column only the candidate owns
+/// is held by its instance alone.
 fn collect_instances(ctx: &TaskContext, config: &SynthConfig, cap: usize) -> Vec<Instance> {
     frontier_candidates(ctx, config, cap, 60_000)
         .into_iter()
         .filter_map(|q| {
             ctx.eval_cache
-                .exec(&q, Semantics::Provenance, ctx.inputs())
+                .exec_once(&q, Semantics::Provenance, ctx.inputs())
                 .ok()
                 .map(|exec| Instance {
                     star: exec.star().clone(),
@@ -82,9 +85,10 @@ fn accept_blind(
 /// The staged path as the search runs it: lazy, demo-targeted set
 /// conversion with cross-candidate sharing (bulk per-column sets and
 /// column-feasibility verdicts memoized by column identity — sibling
-/// candidates share pass-through columns by `Arc`), then the prefilter
-/// seeds the pre-keyed Def. 1 matcher with its surviving column/row
-/// candidates instead of restarting blind.
+/// candidates share pass-through columns by `Arc`; as in the search, only
+/// small columns that something besides the candidate holds are
+/// memoized), then the prefilter seeds the pre-keyed Def. 1 matcher with
+/// its surviving column/row candidates instead of restarting blind.
 struct StagedMatcher<'a> {
     demo: &'a Demo,
     demo_refs: &'a Grid<RefSet>,
@@ -122,19 +126,18 @@ impl<'a> StagedMatcher<'a> {
         if dims.demo_rows > dims.table_rows || dims.demo_cols > dims.table_cols {
             return false;
         }
-        let bulk = star.n_rows() <= BULK_COL_ROWS;
-        // Per-candidate overlay: small columns resolve through the shared
-        // bulk memo, large ones convert per probed cell, locally.
+        // The search's memo admission rule: small and shared.
+        let memo: Vec<bool> = (0..star.n_cols())
+            .map(|tj| star.n_rows() <= BULK_COL_ROWS && Arc::strong_count(star.column_arc(tj)) > 1)
+            .collect();
+        // Per-candidate overlay: memoizable columns resolve through the
+        // shared bulk memo, the others convert per probed cell, locally.
         let mut shared: Vec<Option<Arc<Vec<RefSet>>>> = vec![None; star.n_cols()];
-        let mut local: Vec<Option<RefSet>> = if bulk {
-            Vec::new()
-        } else {
-            vec![None; star.n_rows() * star.n_cols()]
-        };
+        let mut local: Vec<Option<RefSet>> = vec![None; star.n_rows() * star.n_cols()];
         let n_cols = star.n_cols();
         macro_rules! subset_ok {
             ($di:expr, $dj:expr, $ti:expr, $tj:expr) => {{
-                let set: &RefSet = if bulk {
+                let set: &RefSet = if memo[$tj] {
                     let col = shared[$tj].get_or_insert_with(|| {
                         let arc = star.column_arc($tj);
                         let key = Arc::as_ptr(arc) as usize;
@@ -166,12 +169,12 @@ impl<'a> StagedMatcher<'a> {
             let mut cands = Vec::new();
             for tj in 0..dims.table_cols {
                 let key = (dj, Arc::as_ptr(star.column_arc(tj)) as usize);
-                let feasible = match (bulk, self.col_hosts.get(&key)) {
+                let feasible = match (memo[tj], self.col_hosts.get(&key)) {
                     (true, Some((_, v))) => *v,
                     _ => {
                         let v = (0..dims.demo_rows)
                             .all(|di| (0..dims.table_rows).any(|ti| subset_ok!(di, dj, ti, tj)));
-                        if bulk {
+                        if memo[tj] {
                             self.col_hosts
                                 .insert(key, (Arc::clone(star.column_arc(tj)), v));
                         }

@@ -866,10 +866,13 @@ mod tests {
         // Default when absent.
         let wire = WireRequest::from_json(&Json::parse(r#"{"benchmark": 1}"#).unwrap()).unwrap();
         assert_eq!(wire.request.search.cache, CachePolicy::default());
-        // A tiny-cap request still answers (and reports its churn).
+        // A tiny-cap request still answers (and reports its churn). At
+        // depth 2, since a depth-1 search stores only its input table.
         let session = Session::new();
-        let line = inline_request_line()
-            .replace("\"max_depth\"", "\"cache\": {\"cap\": 4}, \"max_depth\"");
+        let line = inline_request_line().replace(
+            "\"max_depth\": 1",
+            "\"cache\": {\"cap\": 4}, \"max_depth\": 2",
+        );
         let response = handle_line(&session, &line);
         assert_eq!(response.get("status").and_then(Json::as_str), Some("ok"));
         let evictions = response

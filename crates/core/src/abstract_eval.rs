@@ -63,7 +63,8 @@ impl AbsTable {
 
 /// Abstractly evaluates a partial query (Fig. 11). The returned table's
 /// ids live in `cache.pool()`; the synthesizer threads one cache (and thus
-/// one pool) through the whole search.
+/// one pool) through the whole search. Subqueries are memoized in `cache`,
+/// the query itself is not (use [`abstract_evaluate_rc`] to store it).
 ///
 /// # Errors
 ///
@@ -75,12 +76,31 @@ pub fn abstract_evaluate(
     universe: &RefUniverse,
     cache: &EvalCache,
 ) -> Result<AbsTable, EvalError> {
-    abstract_evaluate_rc(pq, inputs, universe, cache).map(|rc| (*rc).clone())
+    abstract_evaluate_once(pq, inputs, universe, cache)
+        .map(|rc| Rc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone()))
+}
+
+/// One-shot abstract evaluation: served from the abstract store when `pq`
+/// is there, otherwise computed with every strict subquery memoized
+/// through [`abstract_evaluate_rc`] — but `pq` itself is not stored. The
+/// search analyzes each partial query once per visit and almost never
+/// probes it again, so storing it would only evict the subtrees its
+/// siblings share.
+pub(crate) fn abstract_evaluate_once(
+    pq: &PQuery,
+    inputs: &[Table],
+    universe: &RefUniverse,
+    cache: &EvalCache,
+) -> Result<Rc<AbsTable>, EvalError> {
+    match cache.abs_get(pq) {
+        Some(hit) => Ok(hit),
+        None => abstract_evaluate_uncached(pq, inputs, universe, cache).map(Rc::new),
+    }
 }
 
 /// Memoized evaluator sharing whole abstract tables between the many
-/// sibling queries that contain identical subtrees; prefer this in hot
-/// paths (it avoids cloning the result grid).
+/// sibling queries that contain identical subtrees: stores `pq` itself
+/// too, so use it for subtrees that will be probed again.
 ///
 /// # Errors
 ///
@@ -549,6 +569,25 @@ mod tests {
         let abs = abstract_evaluate(&pq, &inputs, &u, &cache).unwrap();
         let demo_refs = demo_ref_sets(&fig3_demo(), &u);
         assert!(abstract_consistent(&demo_refs, &abs, cache.pool()));
+    }
+
+    #[test]
+    fn one_shot_evaluation_stores_subtrees_only() {
+        let pq = q_b();
+        let PQuery::Arith { src: group, .. } = &pq else {
+            unreachable!("q_b is an arithmetic over a group")
+        };
+        let inputs = [enrollment()];
+        let u = RefUniverse::from_tables(&inputs);
+        let cache = EvalCache::new();
+        let once = abstract_evaluate_once(&pq, &inputs, &u, &cache).unwrap();
+        assert!(cache.abs_get(&pq).is_none());
+        assert!(cache.abs_get(group).is_some());
+        let stored = abstract_evaluate_rc(&pq, &inputs, &u, &cache).unwrap();
+        assert_eq!(once.sets, stored.sets);
+        // Once stored, the one-shot path is served from the store.
+        let hit = abstract_evaluate_once(&pq, &inputs, &u, &cache).unwrap();
+        assert!(Rc::ptr_eq(&hit, &stored));
     }
 
     #[test]

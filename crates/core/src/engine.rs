@@ -24,10 +24,12 @@
 //! [`EvalCache::exec`], which memoizes results keyed by
 //! `(query, semantics)` so skeleton refinement reuses inner-subquery
 //! evaluations across sibling expansions (and backs the concrete leaves of
-//! `abstract_evaluate`). The `group` and `partition` kernels take their row
-//! partition (and `group` its key columns) from the caller: the walker
-//! computes them fresh, the cache hands in memoized ones shared by every
-//! sibling candidate over the same child and keys.
+//! `abstract_evaluate`). [`EvalCache::exec_once`] is the same cached walk
+//! minus the insert of its top query, for results looked at once (the
+//! search's acceptance candidates). The `group` and `partition` kernels
+//! take their row partition (and `group` its key columns) from the caller:
+//! the walker computes them fresh, the cache hands in memoized ones shared
+//! by every sibling candidate over the same child and keys.
 //!
 //! Both callers fuse `filter ∘ join`: the cross product is never
 //! materialized — a selection-vector pair is built from the predicate
@@ -940,7 +942,8 @@ pub struct EvalCache {
     /// conversions repeat across hundreds of candidates — this memo
     /// converts a column once (bulk, on first probe) and every later
     /// candidate's probes reduce to one map probe per column. Columns
-    /// the matcher never probes are never converted.
+    /// the matcher never probes are never converted, and the prefilter
+    /// admits only columns something besides the one-shot candidate holds.
     star_cols: RefCell<StarColsMemo>,
     /// Grouping-skeleton memo keyed by (child result identity, key
     /// columns, star wanted): the representative key value columns and
@@ -1635,22 +1638,65 @@ impl EvalCache {
         sem: Semantics,
         inputs: &[Table],
     ) -> Result<Rc<ExecTable>, EvalError> {
-        {
-            let map = self.map.borrow();
-            if let Some(slot) = map.get(q) {
-                // Probe from the highest level down to the requested one.
-                for level in [Semantics::Provenance, Semantics::Values] {
-                    if level < sem {
-                        break;
-                    }
-                    if let Some(hit) = &slot.value[level as usize] {
-                        slot.hot.set(true);
-                        slot.probes.set(slot.probes.get().saturating_add(1));
-                        return Ok(Rc::clone(hit));
-                    }
-                }
+        if let Some(hit) = self.lookup(q, sem) {
+            return Ok(hit);
+        }
+        let (computed, step_ns) = self.compute(q, sem, inputs)?;
+        Ok(self.store(q, computed, step_ns))
+    }
+
+    /// One-shot evaluation of `q`: served from the store when it is
+    /// there, otherwise computed with every child memoized through
+    /// [`EvalCache::exec`] — but `q` itself is never inserted (no key
+    /// clone, no byte charge, no sweep). For queries the caller looks at
+    /// exactly once, such as the search's acceptance candidates: storing
+    /// them would only evict the subqueries their siblings share. Row and
+    /// group counts are still recorded for the demo-dims fast reject.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`EvalCache::exec`].
+    pub fn exec_once(
+        &self,
+        q: &Query,
+        sem: Semantics,
+        inputs: &[Table],
+    ) -> Result<Rc<ExecTable>, EvalError> {
+        if let Some(hit) = self.lookup(q, sem) {
+            return Ok(hit);
+        }
+        self.compute(q, sem, inputs)
+            .map(|(computed, _)| Rc::new(computed))
+    }
+
+    /// The stored result of `q` at level `sem` or higher, marking the
+    /// slot hot and counting the probe.
+    fn lookup(&self, q: &Query, sem: Semantics) -> Option<Rc<ExecTable>> {
+        let map = self.map.borrow();
+        let slot = map.get(q)?;
+        // Probe from the highest level down to the requested one.
+        for level in [Semantics::Provenance, Semantics::Values] {
+            if level < sem {
+                break;
+            }
+            if let Some(hit) = &slot.value[level as usize] {
+                slot.hot.set(true);
+                slot.probes.set(slot.probes.get().saturating_add(1));
+                return Some(Rc::clone(hit));
             }
         }
+        None
+    }
+
+    /// Evaluates `q`'s top operator over children resolved through
+    /// [`EvalCache::exec`], returning the result and the nanoseconds of
+    /// the operator step alone, and records its row count.
+    fn compute(
+        &self,
+        q: &Query,
+        sem: Semantics,
+        inputs: &[Table],
+    ) -> Result<(ExecTable, u64), EvalError> {
         // Evaluate one operator level at a time so shared subqueries hit
         // the cache instead of being re-evaluated per leaf; `filter ∘ join`
         // fuses into a selection-vector pass. A child served from a
@@ -1740,19 +1786,26 @@ impl EvalCache {
                 t0.elapsed().as_nanos() as u64,
             )
         };
-        // Store under the level actually computed (equals `sem` now that
-        // children are narrowed, but derive it rather than assume).
-        let actual = computed.semantics();
         debug_assert!(
-            actual >= sem,
+            computed.semantics() >= sem,
             "pipeline produced fewer channels than requested"
         );
+        self.note_rows(q, computed.values.n_rows());
+        Ok((computed, step_ns))
+    }
+
+    /// Inserts a computed result of `q`, sweeping first when the store is
+    /// full, and charges its recompute cost and bytes.
+    fn store(&self, q: &Query, computed: ExecTable, step_ns: u64) -> Rc<ExecTable> {
+        // Store under the level actually computed (equals the requested
+        // one now that children are narrowed, but derive it rather than
+        // assume).
+        let actual = computed.semantics();
         let cost = step_ns.saturating_add(
             (computed.values.n_rows() as u64)
                 .saturating_mul(computed.values.n_cols() as u64)
                 .saturating_mul(CELL_COST_NS),
         );
-        self.note_rows(q, computed.values.n_rows());
         // A re-insert of a previously evicted query is a churn-induced
         // re-evaluation — the quantity the cost-aware policy minimizes.
         // Consumed *before* this insert's own sweep runs: the sweep can
@@ -1790,7 +1843,7 @@ impl EvalCache {
         let mut stats = self.stats.get();
         stats.mem_charged = stats.mem_charged.saturating_add(mem);
         self.stats.set(stats);
-        Ok(rc)
+        rc
     }
 
     /// Probes the cache for `q` at any semantics level without computing
@@ -1810,6 +1863,15 @@ impl EvalCache {
             }
         }
         None
+    }
+
+    /// Whether `col`'s reference sets are in the cross-candidate
+    /// star-column memo (see [`EvalCache::star_cols`]).
+    #[cfg(test)]
+    pub(crate) fn star_cols_holds(&self, col: &Arc<Vec<Expr>>) -> bool {
+        self.star_cols
+            .borrow()
+            .contains_key(&(Arc::as_ptr(col) as usize))
     }
 
     /// Number of cached concrete entries (diagnostics).
@@ -2427,6 +2489,81 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn exec_once_matches_exec_without_storing_the_query() {
+        let inputs = [input()];
+        let u = RefUniverse::from_tables(&inputs);
+        let group = Query::Group {
+            src: Box::new(Query::Input(0)),
+            keys: vec![0],
+            agg: AggFunc::Sum,
+            target: 2,
+        };
+        let queries = [
+            Query::Input(0),
+            group.clone(),
+            Query::Arith {
+                src: Box::new(group.clone()),
+                func: ArithExpr::bin(ArithOp::Div, ArithExpr::Param(0), ArithExpr::Param(1)),
+                cols: vec![1, 1],
+            },
+            Query::Partition {
+                src: Box::new(group),
+                keys: vec![],
+                func: AnalyticFunc::CumSum,
+                target: 1,
+            },
+            Query::Filter {
+                src: Box::new(Query::Join {
+                    left: Box::new(Query::Input(0)),
+                    right: Box::new(Query::Input(0)),
+                }),
+                pred: Pred::ColCmp(0, CmpOp::Eq, 4),
+            },
+        ];
+        for q in &queries {
+            for sem in [Semantics::Values, Semantics::Provenance] {
+                let reference = EvalCache::new();
+                let expected = reference.exec(q, sem, &inputs).unwrap();
+                let cache = EvalCache::new();
+                let once = cache.exec_once(q, sem, &inputs).unwrap();
+                assert_eq!(once.table(), expected.table(), "{q}");
+                assert_eq!(once.try_star(), expected.try_star(), "{q}");
+                if sem == Semantics::Provenance {
+                    assert_eq!(once.sets(&u), expected.sets(&u), "{q}");
+                }
+                // Everything `exec` stores except the query itself.
+                assert_eq!(cache.len(), reference.len() - 1, "{q}");
+                assert!(cache.peek(q).is_none(), "{q}");
+                // Again, with every child a hit: nothing stored or charged.
+                let charged = cache.cache_stats().mem_charged;
+                cache.exec_once(q, sem, &inputs).unwrap();
+                assert_eq!(cache.len(), reference.len() - 1, "{q}");
+                assert_eq!(cache.cache_stats().mem_charged, charged, "{q}");
+                // A stored query is served from the store.
+                let stored = cache.exec(q, sem, &inputs).unwrap();
+                let served = cache.exec_once(q, sem, &inputs).unwrap();
+                assert!(Rc::ptr_eq(&stored, &served), "{q}");
+                assert_eq!(cache.len(), reference.len(), "{q}");
+            }
+        }
+        // Errors are the same and store nothing for the failing query.
+        let bad = Query::Proj {
+            src: Box::new(Query::Input(0)),
+            cols: vec![9],
+        };
+        let cache = EvalCache::new();
+        let once = cache.exec_once(&bad, Semantics::Provenance, &inputs);
+        assert_eq!(
+            once.unwrap_err(),
+            cache
+                .exec(&bad, Semantics::Provenance, &inputs)
+                .unwrap_err()
+        );
+        assert!(cache.peek(&bad).is_none());
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use sickle_provenance::{
     AnalysisCache, Demo, DemoToken, MatchDims, MatchSeed, RefSetPool, RefUniverse,
 };
 
-use crate::abstract_eval::{abstract_evaluate_rc, demo_ref_sets};
+use crate::abstract_eval::{abstract_evaluate_once, demo_ref_sets};
 use crate::ast::{PQuery, Pred, Query};
 use crate::engine::{CachePolicy, EvalCache, Semantics};
 use crate::error::SickleError;
@@ -269,10 +269,11 @@ pub struct TaskContext {
     /// Cross-candidate memo of the acceptance prefilter's per-column
     /// feasibility: (demo column, star column identity) → can the star
     /// column host the demo column (every demo row embeds into some cell
-    /// of it). Concrete candidates share pass-through star columns by
-    /// `Arc`, so most of each candidate's column-candidate derivation is
-    /// map probes. The entry pins its column `Arc`, keeping the address
-    /// key valid.
+    /// of it). Concrete candidates share pass-through star columns of
+    /// their stored children by `Arc`, so most of each candidate's
+    /// column-candidate derivation is map probes. Only such shared
+    /// columns are admitted (see [`StarSets::memoizable`]). The entry
+    /// pins its column `Arc`, keeping the address key valid.
     col_hosts: std::cell::RefCell<ColHostsMemo>,
 }
 
@@ -285,11 +286,10 @@ type ColHostsMemo =
 /// a full map is cleared, not evicted (entries are recomputable).
 const COL_HOSTS_CAP: usize = 16_384;
 
-/// Columns up to this many rows convert through the cross-candidate bulk
-/// memo (`EvalCache::star_col_sets`); larger columns (join outputs,
-/// which also churn through the engine cache) convert per probed cell
-/// through the result-local [`crate::ExecTable::cell_set`] — no
-/// cross-candidate pinning, and only cells the matcher touches are
+/// Columns up to this many rows may convert through the cross-candidate
+/// bulk memo (`EvalCache::star_col_sets`); larger columns (join outputs)
+/// convert per probed cell through the result-local
+/// [`crate::ExecTable::cell_set`], so only cells the matcher touches are
 /// materialized. Public so the `accept` micro-bench mirrors the shipped
 /// policy instead of hard-coding a copy.
 pub const BULK_COL_ROWS: usize = 128;
@@ -307,9 +307,10 @@ struct StarSets<'a> {
 enum ColSets {
     /// Not probed yet.
     Pending,
-    /// Small column: the shared, fully-converted cross-candidate entry.
+    /// Memoizable column: the shared, fully-converted cross-candidate
+    /// entry.
     Shared(Arc<Vec<sickle_provenance::RefSet>>),
-    /// Large column: converted per probed cell, memoized on the
+    /// Any other column: converted per probed cell, memoized on the
     /// candidate's own result ([`crate::ExecTable::cell_set`]).
     Local,
 }
@@ -328,10 +329,21 @@ impl<'a> StarSets<'a> {
         }
     }
 
+    /// Whether star column `tj` may enter the cross-candidate memos
+    /// (`EvalCache::star_col_sets`, [`TaskContext::col_hosts`]): it is
+    /// small, and something besides this candidate holds it — a stored
+    /// subquery that the candidate passes the column through from. The
+    /// candidate itself is evaluated once and never stored, so a column
+    /// only it owns can never be probed again; memoizing it would pin
+    /// dead columns and crowd out the shared ones.
+    fn memoizable(&self, tj: usize) -> bool {
+        self.star.n_rows() <= BULK_COL_ROWS && Arc::strong_count(self.star.column_arc(tj)) > 1
+    }
+
     /// The reference set of star cell `(ti, tj)`, converted on demand.
     fn cell(&mut self, ti: usize, tj: usize) -> &sickle_provenance::RefSet {
         if matches!(self.cols[tj], ColSets::Pending) {
-            self.cols[tj] = if self.star.n_rows() <= BULK_COL_ROWS {
+            self.cols[tj] = if self.memoizable(tj) {
                 ColSets::Shared(self.ctx.eval_cache.star_col_sets(
                     self.star,
                     &self.ctx.universe,
@@ -357,14 +369,13 @@ impl<'a> StarSets<'a> {
 
     /// Whether star column `tj` can host demo column `dj` (every demo row
     /// embeds into some cell of it), memoized by column identity across
-    /// candidates (see [`TaskContext::col_hosts`]) — pass-through columns
-    /// shared between sibling candidates resolve to one map probe. Large
-    /// columns are not memoized: the memo pins its column, and pinning
-    /// multi-megabyte join columns past engine-cache eviction costs far
-    /// more (allocator pressure) than the scan it saves.
+    /// candidates (see [`TaskContext::col_hosts`]) when the column is
+    /// [`StarSets::memoizable`] — pass-through columns shared between
+    /// sibling candidates resolve to one map probe. Other columns are
+    /// decided directly.
     fn column_hosts(&mut self, dj: usize, tj: usize) -> bool {
         let (demo_rows, table_rows) = (self.ctx.demo_refs.n_rows(), self.star.n_rows());
-        if table_rows > BULK_COL_ROWS {
+        if !self.memoizable(tj) {
             return (0..demo_rows)
                 .all(|di| (0..table_rows).any(|ti| self.subset_ok(di, dj, ti, tj)));
         }
@@ -488,7 +499,9 @@ impl Analyzer for ProvenanceAnalyzer {
     }
 
     fn is_feasible(&self, pq: &PQuery, ctx: &TaskContext) -> bool {
-        match abstract_evaluate_rc(pq, ctx.inputs(), &ctx.universe, &ctx.eval_cache) {
+        // One-shot: the partial is analyzed once per visit, its subtrees
+        // are what siblings share.
+        match abstract_evaluate_once(pq, ctx.inputs(), &ctx.universe, &ctx.eval_cache) {
             // Def. 3 through the cross-sibling cache: sibling expansions
             // that abstract to the same id-grid share one verdict.
             Ok(abs) => {
@@ -949,8 +962,10 @@ pub(crate) fn run_search(
             let exec = if too_small {
                 None
             } else {
+                // One-shot: acceptance never probes a candidate again;
+                // its children are stored for the siblings that share them.
                 ctx.eval_cache
-                    .exec(&q, Semantics::Provenance, ctx.inputs())
+                    .exec_once(&q, Semantics::Provenance, ctx.inputs())
                     .ok()
             };
             let d_mat = t0.elapsed();
@@ -2127,6 +2142,54 @@ mod tests {
     }
 
     #[test]
+    fn prefilter_memoizes_only_shared_star_columns() {
+        let ctx = fig3_task();
+        let child = Query::Group {
+            src: Box::new(Query::Input(0)),
+            keys: vec![0, 1],
+            agg: AggFunc::Sum,
+            target: 3,
+        };
+        let candidate = Query::Arith {
+            src: Box::new(child.clone()),
+            func: ArithExpr::bin(
+                sickle_table::ArithOp::Div,
+                ArithExpr::Param(0),
+                ArithExpr::Param(1),
+            ),
+            cols: vec![2, 2],
+        };
+        // As in the search: the child is stored, the candidate one-shot.
+        ctx.eval_cache
+            .exec(&child, Semantics::Provenance, ctx.inputs())
+            .unwrap();
+        let exec = ctx
+            .eval_cache
+            .exec_once(&candidate, Semantics::Provenance, ctx.inputs())
+            .unwrap();
+        let star = exec.star();
+        // The child's three columns pass through; the quotient is the
+        // candidate's own.
+        let lone: Vec<bool> = (0..star.n_cols())
+            .map(|tj| Arc::strong_count(star.column_arc(tj)) == 1)
+            .collect();
+        assert_eq!(lone, [false, false, false, true]);
+        let mut sets = StarSets::new(&ctx, &exec, star);
+        for dj in 0..ctx.demo_refs.n_cols() {
+            for tj in 0..star.n_cols() {
+                sets.column_hosts(dj, tj);
+            }
+        }
+        let hosts = ctx.col_hosts.borrow();
+        for (tj, &lone) in lone.iter().enumerate() {
+            let col = star.column_arc(tj);
+            let addr = Arc::as_ptr(col) as usize;
+            assert_eq!(ctx.eval_cache.star_cols_holds(col), !lone, "column {tj}");
+            assert_eq!(hosts.keys().any(|&(_, a)| a == addr), !lone, "column {tj}");
+        }
+    }
+
+    #[test]
     fn cache_policy_threads_through_the_search() {
         let ctx = TaskContext::with_policy(
             SynthTask::new(
@@ -2140,14 +2203,17 @@ mod tests {
             crate::CachePolicy::default().with_cap(8),
         );
         assert_eq!(ctx.eval_cache.policy().cap, 8);
+        // Deep enough that the store holds more subqueries than the cap:
+        // candidates themselves are evaluated once and never stored, so a
+        // depth-1 search stores only the input table.
         let config = SynthConfig {
-            max_depth: 1,
-            max_solutions: 1,
+            max_depth: 2,
+            max_solutions: 10,
             ..SynthConfig::default()
         };
         let res = search(&ctx, &config, &ProvenanceAnalyzer);
         assert!(!res.solutions.is_empty());
-        // A cap this small must have swept and re-evaluated something.
+        // A cap this small must have swept something.
         let cs = ctx.eval_cache.cache_stats();
         assert!(cs.evictions > 0, "{cs:?}");
         assert_eq!(res.stats.cache_evictions, cs.evictions);

@@ -10,7 +10,8 @@
 //! * the engine's ref-set channel agrees exactly with `ref(·)` collection
 //!   over the star channel;
 //! * the engine's uncached walker and its memoizing cache agree on values,
-//!   star terms, reference sets and errors;
+//!   star terms, reference sets and errors, through both the storing and
+//!   the one-shot entry points;
 //! * demonstrations generated from a provenance table are always accepted
 //!   by the `≺` rules (truncation and permutation preserve consistency);
 //! * surface syntax round-trips through the parser.
@@ -19,8 +20,8 @@ use std::sync::Arc;
 
 use sickle_benchmarks::{all_benchmarks, demo_expr_of, rng::Rng};
 use sickle_core::{
-    abstract_consistent, abstract_evaluate, concretize, demo_ref_sets, evaluate, exec,
-    prov_evaluate, AbsTable, EvalCache, PQuery, Pred, Query, Semantics,
+    abstract_consistent, abstract_evaluate, abstract_evaluate_rc, concretize, demo_ref_sets,
+    evaluate, exec, prov_evaluate, AbsTable, EvalCache, PQuery, Pred, Query, Semantics,
 };
 use sickle_provenance::{expr_consistent, parse_expr, Demo, RefUniverse};
 use sickle_table::{AggFunc, AnalyticFunc, ArithExpr, ArithOp, CmpOp, Grid, Table, Value};
@@ -422,6 +423,75 @@ fn cached_and_uncached_evaluation_agree() {
         }
     }
     assert!(shared_key_cols > 0, "no sibling group pair was evaluated");
+}
+
+/// The search evaluates each candidate and each analyzed partial once,
+/// without storing it (`EvalCache::exec_once`, `abstract_evaluate`), and
+/// its subqueries through the stores. On random depth-3 queries and their
+/// siblings, alternating the one-shot and the storing call on one shared
+/// cache, every result must equal the uncached walker's, and every
+/// one-shot abstract table the stored one of `abstract_evaluate_rc`.
+#[test]
+fn one_shot_and_stored_evaluation_agree() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(seed);
+        let inputs = [random_table(&mut rng)];
+        let universe = RefUniverse::from_tables(&inputs);
+        let queries: Vec<Query> = (0..4)
+            .flat_map(|_| with_siblings(random_query(&mut rng, 3)))
+            .collect();
+        let cache = EvalCache::new();
+        for sem in [Semantics::Values, Semantics::Provenance] {
+            for (i, q) in queries.iter().enumerate() {
+                let ctx = format!("seed {seed} {sem:?} #{i}: query {q}");
+                let cached = if i % 2 == 0 {
+                    cache.exec_once(q, sem, &inputs)
+                } else {
+                    cache.exec(q, sem, &inputs)
+                };
+                match (exec(sem, q, &inputs), cached) {
+                    (Ok(walked), Ok(cached)) => {
+                        assert_eq!(walked.table(), cached.table(), "values: {ctx}");
+                        assert_eq!(walked.try_star(), cached.try_star(), "star: {ctx}");
+                        if sem == Semantics::Provenance {
+                            assert_eq!(
+                                walked.sets(&universe),
+                                cached.sets(&universe),
+                                "sets: {ctx}"
+                            );
+                        }
+                    }
+                    (Err(walked), Err(cached)) => assert_eq!(walked, cached, "{ctx}"),
+                    (walked, cached) => panic!(
+                        "{ctx}: walker ok {}, cache ok {}",
+                        walked.is_ok(),
+                        cached.is_ok()
+                    ),
+                }
+            }
+        }
+        for (i, q) in queries.iter().enumerate() {
+            let pq = punch_holes(q, rng.next_u64() as u32);
+            let ctx = format!("seed {seed} #{i}: partial {pq}");
+            let once = abstract_evaluate(&pq, &inputs, &universe, &cache);
+            let stored = abstract_evaluate_rc(&pq, &inputs, &universe, &cache);
+            match (once, stored) {
+                (Ok(once), Ok(stored)) => {
+                    assert_eq!(once.sets, stored.sets, "{ctx}");
+                    assert_eq!(once.concrete.is_some(), stored.concrete.is_some(), "{ctx}");
+                    // Now stored: the one-shot path serves the same table.
+                    let again = abstract_evaluate(&pq, &inputs, &universe, &cache).unwrap();
+                    assert_eq!(again.sets, stored.sets, "{ctx}");
+                }
+                (Err(once), Err(stored)) => assert_eq!(once, stored, "{ctx}"),
+                (once, stored) => panic!(
+                    "{ctx}: one-shot ok {}, stored ok {}",
+                    once.is_ok(),
+                    stored.is_ok()
+                ),
+            }
+        }
+    }
 }
 
 /// Demonstrations generated from provenance cells are accepted by ≺:
